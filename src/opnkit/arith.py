@@ -73,9 +73,9 @@ class Factorization:
         return cls(tuple(sorted(counts.items())))
 
     @classmethod
-    def _from_sieve(cls, pairs) -> "Factorization":
-        # fast path for sieve-generated pairs that are prime by construction;
-        # skips validation, so callers must guarantee canonical input
+    def _from_checked(cls, pairs) -> "Factorization":
+        # skips validation: callers must pass canonical int pairs whose
+        # primes they have already tested
         obj = object.__new__(cls)
         object.__setattr__(obj, "pairs", tuple(pairs))
         return obj
@@ -150,7 +150,8 @@ def parse_factorization(text: str) -> Factorization:
     for value, e in counts.items():
         if e > MAX_EXPONENT:
             raise ParseError(f"merged exponent of {value} exceeds {MAX_EXPONENT}", 0)
-    return Factorization(tuple(sorted(counts.items())))
+    # every prime is tested above, in order of first appearance
+    return Factorization._from_checked(sorted(counts.items()))
 
 
 def render(f: Factorization) -> str:

@@ -58,7 +58,7 @@ def random_prime_set(
     rng: random.Random, max_size: int = 12, prime_cap: int = 10**4
 ) -> PrimeSet:
     """Uniformly sample r in [1, max_size] distinct odd primes below prime_cap."""
-    pool = [p for p in primes_up_to(prime_cap) if p >= 3]
+    pool = primes_up_to(prime_cap)[1:]  # the cached sieve, without 2
     r = rng.randint(1, max_size)
     return PrimeSet(tuple(sorted(rng.sample(pool, r))))
 
@@ -253,14 +253,24 @@ def run_verify_suite(
     trials: int = 10_000,
     seed: int = 0,
     limit: int = 100_000,
-    precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS,
+    precision_cap_bits: int | None = None,
     prime_cap: int = 10**4,
     max_size: int = 12,
 ) -> SuiteResult:
     """Run one named verification suite; seeded, deterministic, exhaustive
-    where the suite is defined that way (`chain` walks all odd n <= limit)."""
+    where the suite is defined that way (`chain` walks all odd n <= limit).
+
+    `precision_cap_bits` caps every interval refinement; None means the
+    suite's own cap (GMHM_PRECISION_CAP_BITS for `gmhm`,
+    DEFAULT_PRECISION_CAP_BITS otherwise).  A decision the cap leaves open
+    raises PrecisionExhaustedError.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    if precision_cap_bits is None:
+        precision_cap_bits = (
+            GMHM_PRECISION_CAP_BITS if suite == "gmhm" else DEFAULT_PRECISION_CAP_BITS
+        )
     rng = random.Random(seed)
     violations: list[str] = []
     checked = 0
@@ -286,7 +296,7 @@ def run_verify_suite(
             if suite == "gmhm":
                 for k in range(1, len(ps)):
                     checked += 1
-                    if not check_gm_hm_step(ps, k, GMHM_PRECISION_CAP_BITS):
+                    if not check_gm_hm_step(ps, k, precision_cap_bits):
                         violations.append(f"primes={ps.primes} k={k}")
             elif suite == "bounds":
                 checked += 1

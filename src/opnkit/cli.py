@@ -5,7 +5,7 @@ Exit codes are a stable contract:
   0  success (audit Viable, verify clean, scan/sk/bounds completed)
   1  audit Refuted, or a verify suite found violations
   2  invalid arguments or unparseable factorization
-  3  audit Undecided
+  3  audit Undecided, or a verify suite reached its precision cap
   4  unreadable checkpoint file
 """
 
@@ -19,7 +19,12 @@ import sys
 
 from .arith import NonPrimeFactorError, ParseError, parse_factorization, render
 from .arith import elementary_symmetric, symmetric_reciprocal_sums
-from .bounds import DEFAULT_PRECISION_CAP_BITS, DEFAULT_REPORT_DIGITS, bounds_report
+from .bounds import (
+    DEFAULT_PRECISION_CAP_BITS,
+    DEFAULT_REPORT_DIGITS,
+    PrecisionExhaustedError,
+    bounds_report,
+)
 from .checks import SUITES, run_verify_suite
 from .constraints import Overall, audit, explain
 from .scan import BLOCK_SIZE_DEFAULT, CheckpointError, scan_perfect
@@ -38,17 +43,25 @@ def _digits_to_bits(digits: int) -> int:
     return math.ceil(digits * math.log2(10)) + _DIGIT_SAFETY_BITS
 
 
-def _default_precision_cap() -> int:
+def _env_precision_cap() -> int | None:
+    """The cap set by OPNKIT_PRECISION_CAP, or None when it is unset or empty.
+
+    Raises ValueError when it is set to anything but a positive integer.
+    """
     raw = os.environ.get(PRECISION_CAP_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_PRECISION_CAP_BITS
+    if not raw:
+        return None
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{PRECISION_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    env_cap = _env_precision_cap()
     parser = argparse.ArgumentParser(
         prog="opnkit",
         description="Exact and certified-interval checks around odd perfect numbers.",
@@ -64,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="audit a candidate factorization")
     p_check.add_argument("factorization", help='e.g. "3^2*5*7^2"')
     p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.add_argument("--precision-cap", type=int, default=_default_precision_cap(),
+    p_check.add_argument("--precision-cap", type=int,
+                         default=env_cap or DEFAULT_PRECISION_CAP_BITS,
                          help=f"interval refinement cap in bits (env {PRECISION_CAP_ENV})")
     p_check.add_argument("--start-bits", type=int, default=64,
                          help="starting precision for interval refinement")
@@ -75,7 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--limit", type=int, default=100_000,
                           help="exhaustive ceiling for the chain suite")
-    p_verify.add_argument("--precision-cap", type=int, default=_default_precision_cap())
+    p_verify.add_argument("--precision-cap", type=int, default=env_cap,
+                          help="interval refinement cap in bits (default: the suite's own; "
+                               f"env {PRECISION_CAP_ENV})")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_scan = sub.add_parser("scan", help="exhaustive perfect-number scan of a range")
@@ -126,6 +142,9 @@ def _parse_or_complain(text: str):
 
 
 def _cmd_check(args) -> int:
+    if args.precision_cap < 1 or args.start_bits < 1:
+        print("error: --precision-cap and --start-bits must be >= 1", file=sys.stderr)
+        return 2
     f = _parse_or_complain(args.factorization)
     if f is None:
         return 2
@@ -142,13 +161,20 @@ def _cmd_verify(args) -> int:
     if args.trials < 1 or args.limit < 3:
         print("error: --trials must be >= 1 and --limit >= 3", file=sys.stderr)
         return 2
-    result = run_verify_suite(
-        args.suite,
-        trials=args.trials,
-        seed=args.seed,
-        limit=args.limit,
-        precision_cap_bits=args.precision_cap,
-    )
+    if args.precision_cap is not None and args.precision_cap < 1:
+        print("error: --precision-cap must be >= 1", file=sys.stderr)
+        return 2
+    try:
+        result = run_verify_suite(
+            args.suite,
+            trials=args.trials,
+            seed=args.seed,
+            limit=args.limit,
+            precision_cap_bits=args.precision_cap,
+        )
+    except PrecisionExhaustedError as exc:
+        print(f"undecided: suite {args.suite} reached the precision cap: {exc}", file=sys.stderr)
+        return 3
     if args.format == "json":
         print(_dumps(result.to_json_dict()))
     else:
@@ -223,7 +249,12 @@ def _cmd_sk(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        parser = _build_parser()
+    except ValueError as exc:  # a malformed OPNKIT_PRECISION_CAP
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    args = parser.parse_args(argv)
     handlers = {
         "bounds": _cmd_bounds,
         "check": _cmd_check,

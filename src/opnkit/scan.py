@@ -5,6 +5,10 @@ runs of blocks with numpy divisor-pair kernels and report per-block
 findings; the driver merges them in block order, so the result is
 byte-identical for any worker count.  A checkpoint file (one JSON line per
 completed block) lets an interrupted scan resume without rework.
+
+numpy is imported inside the kernels that use it, not at module level, so
+importing this module (and with it `opnkit`, the audit and the suites)
+stays free of numpy's start-up cost.
 """
 
 from __future__ import annotations
@@ -12,12 +16,14 @@ from __future__ import annotations
 import json
 import math
 import time
+from array import array
 from dataclasses import dataclass
-from multiprocessing import Pool
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .primes import primes_up_to
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BLOCK_SIZE_DEFAULT = 1 << 16
 MAX_SPAN_DEFAULT = 10**9
@@ -55,6 +61,8 @@ def sigma_segment(a: int, b: int) -> np.ndarray:
     Vectorized divisor-pair sieve: each d <= sqrt(b) contributes d + n/d to
     its multiples, with the square root counted once.
     """
+    import numpy as np
+
     sig = np.zeros(b - a + 1, dtype=np.int64)
     for d in range(1, math.isqrt(b) + 1):
         q0 = max(d, -(-a // d))
@@ -71,6 +79,8 @@ def sigma_segment(a: int, b: int) -> np.ndarray:
 
 def _sigma_segment_odd(a: int, b: int) -> np.ndarray:
     """sigma(n) for odd n in [a, b] (a odd), indexed by (n - a) // 2."""
+    import numpy as np
+
     sig = np.zeros((b - a) // 2 + 1, dtype=np.int64)
     for d in range(1, math.isqrt(b) + 1, 2):
         q0 = max(d, -(-a // d))
@@ -97,6 +107,8 @@ def _odd_multiple_slices(a: int, b: int, step: int):
 
 
 def _perfect_hits(a: int, b: int) -> list[int]:
+    import numpy as np
+
     sig = sigma_segment(a, b)
     ns = np.arange(a, b + 1, dtype=np.int64)
     return [int(n) for n in ns[sig == 2 * ns]]
@@ -110,6 +122,8 @@ def _radical_chain_hits(a: int, b: int) -> list[tuple[int, str]]:
     Cross-multiplied comparison keeps everything in (checked) int64 range
     for b <= ~10**9.
     """
+    import numpy as np
+
     if a % 2 == 0:
         a += 1
     if a > b:
@@ -155,21 +169,24 @@ def _radical_chain_hits(a: int, b: int) -> list[tuple[int, str]]:
     return out
 
 
-def spf_sieve_odd(limit: int) -> np.ndarray:
-    """Smallest prime factor table for odd n <= limit (0 marks odd primes)."""
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if spf[p] == 0:
-            view = spf[p * p :: 2 * p]
-            view[view == 0] = p
+def spf_sieve_odd(limit: int) -> array:
+    """Smallest prime factor table for odd n <= limit (0 marks odd primes).
+
+    Each odd prime p <= sqrt(limit) stamps its odd multiples from p*p on;
+    the primes go in descending order, so the smallest factor writes last.
+    """
+    spf = array("i", [0]) * (limit + 1)
+    for p in reversed(primes_up_to(math.isqrt(limit))[1:]):
+        start = p * p
+        spf[start :: 2 * p] = array("i", [p]) * len(range(start, limit + 1, 2 * p))
     return spf
 
 
-def factor_odd_with_spf(n: int, spf: np.ndarray) -> list[tuple[int, int]]:
+def factor_odd_with_spf(n: int, spf: array) -> list[tuple[int, int]]:
     """Sorted (prime, exponent) pairs of an odd n >= 3 from an spf table."""
     pairs = []
     while n > 1:
-        p = int(spf[n]) or n
+        p = spf[n] or n
         e = 0
         while n % p == 0:
             n //= p
@@ -283,6 +300,8 @@ def _run_scan(
             for seg in results:
                 _absorb(seg, completed, ckpt_fh)
         else:
+            from multiprocessing import Pool
+
             with Pool(processes=jobs) as pool:
                 for seg in pool.imap_unordered(_scan_segment, tasks):
                     _absorb(seg, completed, ckpt_fh)

@@ -64,6 +64,28 @@ def test_parse_composite_rejected():
     assert exc.value.factor == 15
 
 
+def test_parse_names_first_bad_factor_in_input_order():
+    # 0 and 1 are rejected first; then primality is tested in order of first
+    # appearance, not in sorted order
+    with pytest.raises(NonPrimeFactorError) as exc:
+        parse_factorization("3*25*9")
+    assert exc.value.factor == 25
+    with pytest.raises(NonPrimeFactorError) as exc:
+        parse_factorization("9*0")
+    assert exc.value.factor == 0
+
+
+def test_parse_tests_each_distinct_prime_once(monkeypatch):
+    import opnkit.arith as arith
+
+    tested = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n, *a: tested.append(n) or real(n, *a))
+    f = parse_factorization("7^2*3^2*5*7*3")
+    assert sorted(tested) == [3, 5, 7]
+    assert f == Factorization(((3, 3), (5, 1), (7, 3)))
+
+
 def test_parse_zero_one_rejected():
     with pytest.raises(NonPrimeFactorError):
         parse_factorization("3*1")

@@ -209,6 +209,30 @@ def test_run_suite_passes(suite):
     assert result.checked >= 50 or suite == "gmhm"
 
 
+def test_run_suite_honours_precision_cap():
+    # seed 11 draws a pair of primes too close for a 1-bit cap to separate;
+    # the default is gmhm's own 2^16-bit cap, which decides them all
+    default = run_verify_suite("gmhm", trials=50, seed=11)
+    explicit = run_verify_suite("gmhm", trials=50, seed=11, precision_cap_bits=1 << 16)
+    assert default.passed
+    assert explicit.to_json_dict() == default.to_json_dict()
+    with pytest.raises(PrecisionExhaustedError):
+        run_verify_suite("gmhm", trials=50, seed=11, precision_cap_bits=1)
+
+
+def test_random_prime_set_pool_unchanged():
+    # the pool is a slice of the cached sieve; draws must match a fresh pool
+    from opnkit.primes import primes_up_to
+
+    for cap in (10**4, 200):
+        rng, ref = random.Random(8), random.Random(8)
+        for _ in range(30):
+            pool = [p for p in primes_up_to(cap) if p >= 3]
+            r = ref.randint(1, 12)
+            expected = tuple(sorted(ref.sample(pool, r)))
+            assert random_prime_set(rng, prime_cap=cap).primes == expected
+
+
 def test_run_suite_chain():
     result = run_verify_suite("chain", limit=5000)
     assert result.passed

@@ -121,6 +121,49 @@ def test_precision_cap_env(monkeypatch, capsys):
     assert args.precision_cap == 1 << 20
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "3^2*5*7^2", "--precision-cap", "0"],
+        ["check", "3^2*5*7^2", "--start-bits", "0"],
+        ["check", "3^2*5*7^2", "--start-bits", "-64"],
+        ["verify", "gmhm", "--trials", "5", "--precision-cap", "0"],
+        ["verify", "bounds", "--trials", "5", "--precision-cap", "-1"],
+    ],
+)
+def test_precision_arguments_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-4096"])
+def test_precision_cap_env_rejected(monkeypatch, capsys, raw):
+    monkeypatch.setenv("OPNKIT_PRECISION_CAP", raw)
+    for argv in (["check", "3^2*5*7^2"], ["verify", "gmhm", "--trials", "5"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: OPNKIT_PRECISION_CAP") and err.count("\n") == 1
+
+
+def test_verify_precision_exhausted_exit_code(monkeypatch, capsys):
+    # seed 11 draws two primes that a 1-bit cap cannot separate
+    argv = ["verify", "gmhm", "--trials", "50", "--seed", "11", "--format", "json"]
+    code, default, _ = run(capsys, *argv)
+    assert code == 0
+    code, explicit, _ = run(capsys, *argv, "--precision-cap", "65536")
+    assert (code, explicit) == (0, default)
+    code, out, err = run(capsys, *argv, "--precision-cap", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("undecided: ") and err.count("\n") == 1
+    monkeypatch.setenv("OPNKIT_PRECISION_CAP", "1")
+    code, _, _ = run(capsys, *argv)
+    assert code == 3
+
+
 # --- scan -----------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -36,6 +37,33 @@ def test_spf_sieve_factors():
     assert factor_odd_with_spf(945, spf) == [(3, 3), (5, 1), (7, 1)]
     assert factor_odd_with_spf(9973, spf) == [(9973, 1)]
     assert factor_odd_with_spf(3**5, spf) == [(3, 5)]
+
+
+def spf_trial(n: int) -> int:
+    """Smallest prime factor of an odd composite n by trial division, else 0."""
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 2
+    return 0
+
+
+@pytest.mark.parametrize("limit", [3, 9, 25, 10**4 + 1, 3 * 10**4])
+def test_spf_sieve_matches_trial_division(limit):
+    # 9 and 25 are p^2 edges: the first multiple each prime stamps is the limit
+    spf = spf_sieve_odd(limit)
+    expected = [spf_trial(n) if n % 2 else 0 for n in range(limit + 1)]
+    assert list(spf) == expected
+
+
+def test_factor_with_spf_gives_plain_ints():
+    limit = 3 * 10**4
+    spf = spf_sieve_odd(limit)
+    for n in range(3, limit + 1, 2):
+        pairs = factor_odd_with_spf(n, spf)
+        assert all(type(p) is int and type(e) is int for p, e in pairs)
+        assert math.prod(p**e for p, e in pairs) == n
 
 
 def test_scan_perfect_classical():
