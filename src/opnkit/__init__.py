@@ -33,12 +33,11 @@ from .bounds import (
     PrecisionExhaustedError,
     bounds_report,
     compare_rational_to_bound,
-    n_lower_bound,
+    decide,
     nielsen_upper_bound,
     prime_sum_lower_bound,
     radical_lower_bound,
     refined_reciprocal_rhs,
-    two_to_inverse_r,
 )
 from .checks import (
     PrimeSet,
@@ -87,12 +86,11 @@ __all__ = [
     "PrecisionExhaustedError",
     "bounds_report",
     "compare_rational_to_bound",
-    "n_lower_bound",
+    "decide",
     "nielsen_upper_bound",
     "prime_sum_lower_bound",
     "radical_lower_bound",
     "refined_reciprocal_rhs",
-    "two_to_inverse_r",
     "PrimeSet",
     "SuiteResult",
     "check_bound_implication",

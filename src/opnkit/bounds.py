@@ -1,12 +1,11 @@
 """Certified evaluation of the lower-bound expressions in r (the number of
 distinct prime factors) and exact evaluation of the rational ones.
 
-The three irrational bounds share one skeleton: enclose 2**(1/r) with a
+The two irrational bounds share one skeleton: enclose 2**(1/r) with a
 certified dyadic interval, subtract 1, then raise/divide with outward
-rounding.  Strict comparisons of an exact rational against a bound are
-decided by adaptive precision refinement, never by floating point: the
-interval is tightened until it excludes the rational, or a configurable
-precision cap is hit.
+rounding.  Strict comparisons of an exact rational against an irrational
+value are decided by `decide`, never by floating point: the enclosure is
+tightened until it excludes the rational, or a precision cap is hit.
 """
 
 from __future__ import annotations
@@ -14,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 from .interval import Dyadic, Interval, ONE, div_dir, nth_root_enclosure, pow_dir
 
 DEFAULT_START_BITS = 64
 DEFAULT_PRECISION_CAP_BITS = 1 << 20
 DEFAULT_REPORT_DIGITS = 50
-
-BOUND_KINDS = ("radical", "prime_sum", "n")
 
 
 class Ordering3(Enum):
@@ -34,25 +32,17 @@ class PrecisionExhaustedError(RuntimeError):
     """An interval comparison could not be resolved below the precision cap."""
 
 
-def _validate(r: int, precision_bits: int, min_precision: int = 1) -> None:
+def _validate(r: int, precision_bits: int) -> None:
     if r < 1:
         raise ValueError("r must be >= 1")
-    if precision_bits < min_precision:
-        raise ValueError(f"precision_bits must be >= {min_precision}")
+    if precision_bits < 1:
+        raise ValueError("precision_bits must be >= 1")
 
 
 def _work_bits(r: int, precision_bits: int) -> int:
     # raising to the r-th power multiplies relative error by about r, and the
     # subtraction of 1 loses another log2(r) bits; pad for both
     return precision_bits + 2 * max(1, r.bit_length()) + 24
-
-
-def two_to_inverse_r(r: int, precision_bits: int) -> Interval:
-    """Certified enclosure of 2**(1/r); exact point [2, 2] for r = 1."""
-    _validate(r, precision_bits, min_precision=8)
-    if r == 1:
-        return Interval.point(2, precision_bits)
-    return nth_root_enclosure(2, r, precision_bits)
 
 
 def _root_minus_one(r: int, work: int) -> tuple[Dyadic, Dyadic]:
@@ -100,12 +90,6 @@ def prime_sum_lower_bound(r: int, precision_bits: int) -> Interval:
     )
 
 
-def n_lower_bound(r: int, precision_bits: int) -> Interval:
-    """Same value as radical_lower_bound (N itself exceeds its radical);
-    kept as a distinct operation for reporting clarity."""
-    return radical_lower_bound(r, precision_bits)
-
-
 @dataclass(frozen=True)
 class PowerOfTwo:
     """Exactly 2**log2, kept symbolic so astronomical bounds are never expanded."""
@@ -115,16 +99,6 @@ class PowerOfTwo:
     def __post_init__(self):
         if self.log2 < 0:
             raise ValueError("log2 must be >= 0")
-
-    def value(self) -> int:
-        """Materialize the integer; only sane for moderate exponents."""
-        return 1 << self.log2
-
-    def is_above(self, n: int) -> bool:
-        """n < 2**log2, decided by bit length (n >= 1)."""
-        if n < 1:
-            raise ValueError("comparison defined for n >= 1")
-        return n.bit_length() <= self.log2
 
 
 def nielsen_upper_bound(r: int) -> PowerOfTwo:
@@ -152,8 +126,30 @@ def refined_reciprocal_rhs(r: int, largest_prime: int) -> Fraction:
 _EVALUATORS = {
     "radical": radical_lower_bound,
     "prime_sum": prime_sum_lower_bound,
-    "n": n_lower_bound,
 }
+
+
+def decide(
+    x: Fraction, enclose: Callable[[int], Interval], start_bits: int, cap_bits: int
+) -> tuple[Ordering3, Interval]:
+    """Certified strict comparison of a rational x against a real value.
+
+    `enclose(bits)` returns a certified enclosure of the value at `bits`
+    bits of precision.  Refinement starts at min(start_bits, cap_bits) and
+    doubles until the enclosure excludes x (BELOW: x is below the value,
+    ABOVE: x is above it) or the cap is reached (UNDECIDED).  The enclosure
+    that settled it comes back too; its precision_bits are the bits used.
+    """
+    bits = min(start_bits, cap_bits)
+    while True:
+        enclosure = enclose(bits)
+        if enclosure.lo.cmp_fraction(x) > 0:
+            return Ordering3.BELOW, enclosure
+        if enclosure.hi.cmp_fraction(x) < 0:
+            return Ordering3.ABOVE, enclosure
+        if bits >= cap_bits:
+            return Ordering3.UNDECIDED, enclosure
+        bits = min(bits * 2, cap_bits)
 
 
 def compare_rational_to_bound(
@@ -166,45 +162,34 @@ def compare_rational_to_bound(
     """Certified strict comparison of a rational against a bound expression.
 
     Returns BELOW or ABOVE only when the interval enclosure excludes x, so
-    the verdict is exact.  r = 1 is dispatched to exact rational comparison
-    (all three bounds equal 1 there); an exact tie is UNDECIDED since no
-    strict verdict exists.  For r >= 2 the bounds are irrational, so any
-    rational x separates at some finite precision.
+    the verdict is exact.  Both bounds are the exact point 1 at r = 1, where
+    an exact tie is UNDECIDED since no strict verdict exists.  For r >= 2
+    the bounds are irrational, so any rational x separates at some finite
+    precision.
     """
     if kind not in _EVALUATORS:
-        raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
+        raise ValueError(f"unknown bound kind {kind!r}; expected one of {tuple(_EVALUATORS)}")
     x = Fraction(x)
     if x < 0:
         raise ValueError("x must be >= 0")
     if r < 1:
         raise ValueError("r must be >= 1")
-    if r == 1:
-        if x < 1:
-            return Ordering3.BELOW
-        if x > 1:
-            return Ordering3.ABOVE
-        return Ordering3.UNDECIDED
     evaluator = _EVALUATORS[kind]
-    bits = min(start_bits, precision_cap_bits)
-    while True:
-        enclosure = evaluator(r, bits)
-        if enclosure.lo.cmp_fraction(x) > 0:
-            return Ordering3.BELOW
-        if enclosure.hi.cmp_fraction(x) < 0:
-            return Ordering3.ABOVE
-        if bits >= precision_cap_bits:
-            return Ordering3.UNDECIDED
-        bits = min(bits * 2, precision_cap_bits)
+    order, _ = decide(x, lambda bits: evaluator(r, bits), start_bits, precision_cap_bits)
+    return order
 
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """All lower/upper bounds for a given r at a given precision."""
+    """All lower/upper bounds for a given r at a given precision.
+
+    N exceeds its radical, so the radical bound is also the lower bound on
+    N; the JSON reports it under `n_lower_bound` as well.
+    """
 
     r: int
     radical_lb: Interval
     prime_sum_lb: Interval
-    n_lb: Interval
     n_ub: PowerOfTwo
     precision_bits: int
 
@@ -213,12 +198,13 @@ class BoundsReport:
             lo, hi = iv.to_decimal_pair(digits)
             return {"lo": lo, "hi": hi}
 
+        radical = pair(self.radical_lb)
         return {
             "r": self.r,
             "precision_bits": self.precision_bits,
-            "radical_lower_bound": pair(self.radical_lb),
+            "radical_lower_bound": radical,
             "prime_sum_lower_bound": pair(self.prime_sum_lb),
-            "n_lower_bound": pair(self.n_lb),
+            "n_lower_bound": radical,
             "n_upper_bound": {"log2": self.n_ub.log2},
         }
 
@@ -229,7 +215,6 @@ def bounds_report(r: int, precision_bits: int) -> BoundsReport:
         r=r,
         radical_lb=radical_lower_bound(r, precision_bits),
         prime_sum_lb=prime_sum_lower_bound(r, precision_bits),
-        n_lb=n_lower_bound(r, precision_bits),
         n_ub=nielsen_upper_bound(r),
         precision_bits=precision_bits,
     )

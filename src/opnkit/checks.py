@@ -17,9 +17,11 @@ from math import comb, prod
 from .arith import Factorization, elementary_symmetric, render
 from .bounds import (
     DEFAULT_PRECISION_CAP_BITS,
+    DEFAULT_START_BITS,
     Ordering3,
     PrecisionExhaustedError,
     compare_rational_to_bound,
+    decide,
     refined_reciprocal_rhs,
 )
 from .interval import nth_root_enclosure
@@ -135,19 +137,16 @@ def check_gm_hm_step(
         return False
     scale = comb(r, k)
     root_arg = prod(ps.primes) ** k
-    bits = min(64, precision_cap_bits)
-    while True:
-        # C(r,k) / radical**(k/r), via the r-th root of radical**k
-        rhs = nth_root_enclosure(root_arg, r, bits).reciprocal().scale_int(scale)
-        if rhs.hi.cmp_fraction(s_k) < 0:
-            return True
-        if rhs.lo.cmp_fraction(s_k) > 0:
-            return False
-        if bits >= precision_cap_bits:
-            raise PrecisionExhaustedError(
-                f"between S_{k} and its bound at {precision_cap_bits} bits"
-            )
-        bits = min(bits * 2, precision_cap_bits)
+    # C(r,k) / radical**(k/r), via the r-th root of radical**k
+    order, _ = decide(
+        s_k,
+        lambda bits: nth_root_enclosure(root_arg, r, bits).reciprocal().scale_int(scale),
+        DEFAULT_START_BITS,
+        precision_cap_bits,
+    )
+    if order is Ordering3.UNDECIDED:
+        raise PrecisionExhaustedError(f"between S_{k} and its bound at {precision_cap_bits} bits")
+    return order is Ordering3.ABOVE
 
 
 def _radical_abundancy_below_one(primes) -> bool:

@@ -3,7 +3,7 @@ suites, and perfect-number scans, in text or single-document JSON.
 
 Exit codes are a stable contract:
   0  success (audit Viable, verify clean, scan/sk/bounds completed)
-  1  audit Refuted, or a verify suite found violations
+  1  audit Refuted, or a verify suite or radical-chain scan found violations
   2  invalid arguments or unparseable factorization
   3  audit Undecided, or a verify suite reached its precision cap
   4  unreadable checkpoint file
@@ -27,7 +27,7 @@ from .bounds import (
 )
 from .checks import SUITES, run_verify_suite
 from .constraints import Overall, audit, explain
-from .scan import BLOCK_SIZE_DEFAULT, CheckpointError, scan_perfect
+from .scan import BLOCK_SIZE_DEFAULT, CheckpointError, scan_perfect, scan_radical_chain
 
 PRECISION_CAP_ENV = "OPNKIT_PRECISION_CAP"
 
@@ -94,7 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                f"env {PRECISION_CAP_ENV})")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_scan = sub.add_parser("scan", help="exhaustive perfect-number scan of a range")
+    p_scan = sub.add_parser("scan", help="exhaustive scan of a range")
+    p_scan.add_argument("--kind", choices=("perfect", "radical-chain"), default="perfect",
+                        help="find perfect numbers, or verify the radical-abundancy "
+                             "relation for every odd n (violations exit 1)")
     p_scan.add_argument("--lo", type=int, required=True)
     p_scan.add_argument("--hi", type=int, required=True)
     p_scan.add_argument("--parity", choices=("all", "odd", "even"), default="all")
@@ -123,12 +126,11 @@ def _cmd_bounds(args) -> int:
         return 0
     lo_a, hi_a = report.radical_lb.to_decimal_pair(args.digits)
     lo_b, hi_b = report.prime_sum_lb.to_decimal_pair(args.digits)
-    lo_n, hi_n = report.n_lb.to_decimal_pair(args.digits)
     print(f"r: {report.r}")
     print(f"precision: {report.precision_bits} bits (~{args.digits} digits)")
     print(f"radical lower bound:   [{lo_a}, {hi_a}]")
     print(f"prime-sum lower bound: [{lo_b}, {hi_b}]")
-    print(f"N lower bound:         [{lo_n}, {hi_n}]")
+    print(f"N lower bound:         [{lo_a}, {hi_a}]")
     print(f"N upper bound:         2^(4^{report.r}) = 2^{report.n_ub.log2}")
     return 0
 
@@ -187,15 +189,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    chain = args.kind == "radical-chain"
+    if chain and args.parity == "even":
+        print("error: a radical-chain scan covers odd n only", file=sys.stderr)
+        return 2
+    options = {"jobs": args.jobs, "block_size": args.block_size, "checkpoint": args.checkpoint}
     try:
-        report = scan_perfect(
-            args.lo,
-            args.hi,
-            args.parity,
-            jobs=args.jobs,
-            block_size=args.block_size,
-            checkpoint=args.checkpoint,
-        )
+        if chain:
+            report = scan_radical_chain(args.lo, args.hi, **options)
+        else:
+            report = scan_perfect(args.lo, args.hi, args.parity, **options)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -205,13 +208,13 @@ def _cmd_scan(args) -> int:
     if args.format == "json":
         print(_dumps(report.to_json_dict()))
     else:
-        print(f"range: [{report.range_lo}, {report.range_hi}] parity={args.parity}")
+        print(f"range: [{report.range_lo}, {report.range_hi}] parity={'odd' if chain else args.parity}")
         print(f"tested: {report.tested_count}")
         print(f"found: {len(report.violations)}")
         for n, detail in report.violations:
             print(f"  {n}: {detail}")
         print(f"elapsed: {report.elapsed_seconds:.2f}s")
-    return 0
+    return 1 if chain and report.violations else 0
 
 
 def _cmd_sk(args) -> int:

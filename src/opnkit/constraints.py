@@ -15,14 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import prod
+from math import log10, prod
 
 from .arith import Factorization, render
 from .bounds import (
     DEFAULT_PRECISION_CAP_BITS,
     DEFAULT_START_BITS,
     Ordering3,
-    compare_rational_to_bound,
+    decide,
     radical_lower_bound,
     prime_sum_lower_bound,
     refined_reciprocal_rhs,
@@ -88,20 +88,35 @@ def explain(report: ConstraintReport) -> str:
 
 
 def _fmt_int(x: int, max_digits: int = 40) -> str:
-    s = str(x)
-    if len(s) <= max_digits:
-        return s
-    return f"{s[0]}.{s[1:16]}e{len(s) - 1} ({len(s)} digits)"
+    """x >= 0 in full up to max_digits digits, else its 16 leading digits.
+
+    A long x is never passed to str(), which refuses integers above 4300
+    digits: the digit count comes from the bit length, corrected exactly
+    against powers of ten, and the leading digits from one division.
+    """
+    if x < 10**max_digits:
+        return str(x)
+    digits = int((x.bit_length() - 1) * log10(2)) + 1
+    while 10**digits <= x:
+        digits += 1
+    while 10 ** (digits - 1) > x:
+        digits -= 1
+    lead = str(x // 10 ** (digits - 16))
+    return f"{lead[0]}.{lead[1:]}e{digits - 1} ({digits} digits)"
 
 
 def _log2_bounds(pairs, scale: int) -> tuple[Fraction, Fraction]:
-    """Exact rational window [lo, hi) around log2 of the factored value.
+    """Exact rational window [lo, hi] around log2 of the factored value.
 
-    Per prime, bitlen(p**scale) pins log2(p) to within 1/scale; the upper
-    bound is strict for every p (odd or even).
+    Per odd prime, bitlen(p**scale) pins log2(p) to within 1/scale, with
+    both ends strict; the prime 2 contributes its exponent exactly.
     """
     lo = hi = Fraction(0)
     for p, e in pairs:
+        if p == 2:
+            lo += e
+            hi += e
+            continue
         length = (p**scale).bit_length()
         lo += Fraction(e * (length - 1), scale)
         hi += Fraction(e * length, scale)
@@ -112,32 +127,24 @@ def _materialize_bits(pairs) -> int:
     return sum(e * p.bit_length() for p, e in pairs)
 
 
-def _compare_value_to_pow2(pairs, k: int) -> Ordering3:
-    """Factored value vs 2**k for odd values: BELOW means value < 2**k."""
+def _compare_factored(pairs, target) -> Ordering3:
+    """Factored value vs factored target, both as (prime, exponent) pairs:
+    BELOW means value < target, ABOVE means value > target.
+
+    Decided from disjoint log2 windows at growing scales, or exactly once
+    the value is small enough to materialize.  Callers compare an odd value
+    with an even target, so the two never tie.
+    """
     for scale in _LOG_SCALES:
         lo, hi = _log2_bounds(pairs, scale)
-        if hi <= k:
+        target_lo, target_hi = _log2_bounds(target, scale)
+        if hi <= target_lo:
             return Ordering3.BELOW
-        if lo >= k:
+        if lo >= target_hi:
             return Ordering3.ABOVE
         if _materialize_bits(pairs) <= _MATERIALIZE_BITS:
             v = prod(p**e for p, e in pairs)
-            return Ordering3.BELOW if v < 1 << k else Ordering3.ABOVE
-    return Ordering3.UNDECIDED
-
-
-def _compare_value_to_pow10(pairs, d: int) -> Ordering3:
-    """Factored value vs 10**d for odd values: ABOVE means value > 10**d."""
-    for scale in _LOG_SCALES:
-        lo, hi = _log2_bounds(pairs, scale)
-        ten_len = (10**scale).bit_length()
-        if lo >= Fraction(d * ten_len, scale):
-            return Ordering3.ABOVE
-        if hi <= Fraction(d * (ten_len - 1), scale):
-            return Ordering3.BELOW
-        if _materialize_bits(pairs) <= _MATERIALIZE_BITS:
-            v = prod(p**e for p, e in pairs)
-            return Ordering3.ABOVE if v > 10**d else Ordering3.BELOW
+            return Ordering3.BELOW if v < prod(p**e for p, e in target) else Ordering3.ABOVE
     return Ordering3.UNDECIDED
 
 
@@ -184,11 +191,10 @@ def _euler_form(pairs) -> ConstraintVerdict:
 
 
 def _bound_verdict(
-    cid: str, quantity: int, kind: str, r: int, cap: int, start: int, name: str
+    cid: str, quantity: int, evaluator, r: int, cap: int, start: int, name: str
 ) -> ConstraintVerdict:
-    cmp = compare_rational_to_bound(Fraction(quantity), kind, r, cap, start_bits=start)
-    evaluator = radical_lower_bound if kind in ("radical", "n") else prime_sum_lower_bound
-    lo_s, hi_s = evaluator(r, 64).to_decimal_pair(20)
+    cmp, enclosure = decide(Fraction(quantity), lambda bits: evaluator(r, bits), start, cap)
+    lo_s, hi_s = enclosure.to_decimal_pair(20)
     detail = f"{name} = {_fmt_int(quantity)} vs lower bound in [{lo_s}, {hi_s}]"
     if cmp is Ordering3.ABOVE:
         return _check(cid, True, detail)
@@ -315,7 +321,7 @@ def audit(
         detail = "no prime-power component exceeds 10^20"
     verdicts.append(_check("cohen_component", bool(big), detail))
 
-    brent = _compare_value_to_pow10(pairs, 300)
+    brent = _compare_factored(pairs, ((2, 300), (5, 300)))
     if brent is Ordering3.UNDECIDED:
         verdicts.append(ConstraintVerdict("brent_size", Verdict.UNDECIDED, "N vs 10^300 undecided at the log2 refinement cap"))
     else:
@@ -324,7 +330,7 @@ def audit(
         )
 
     k = 4**r
-    nielsen = _compare_value_to_pow2(pairs, k)
+    nielsen = _compare_factored(pairs, ((2, k),))
     if nielsen is Ordering3.UNDECIDED:
         verdicts.append(ConstraintVerdict("nielsen_size", Verdict.UNDECIDED, f"N vs 2^(4^{r}) undecided at the log2 refinement cap"))
     else:
@@ -337,10 +343,10 @@ def audit(
         )
 
     verdicts.append(
-        _bound_verdict("radical_bound", prod(primes), "radical", r, precision_cap_bits, start_bits, "radical(N)")
+        _bound_verdict("radical_bound", prod(primes), radical_lower_bound, r, precision_cap_bits, start_bits, "radical(N)")
     )
     verdicts.append(
-        _bound_verdict("prime_sum_bound", sum(primes), "prime_sum", r, precision_cap_bits, start_bits, "prime_sum(N)")
+        _bound_verdict("prime_sum_bound", sum(primes), prime_sum_lower_bound, r, precision_cap_bits, start_bits, "prime_sum(N)")
     )
 
     recip = sum(Fraction(1, p) for p in primes)

@@ -254,18 +254,8 @@ class Interval:
         x = Fraction(x)
         return self.lo.cmp_fraction(x) <= 0 <= self.hi.cmp_fraction(x)
 
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def add_int(self, k: int) -> "Interval":
-        d = Dyadic(k)
-        return Interval(self.lo + d, self.hi + d, self.precision_bits)
-
-    def sub_int(self, k: int) -> "Interval":
-        return self.add_int(-k)
 
     def scale_int(self, k: int) -> "Interval":
         """Exact multiplication by a nonnegative integer."""

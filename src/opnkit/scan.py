@@ -27,6 +27,7 @@ if TYPE_CHECKING:
 
 BLOCK_SIZE_DEFAULT = 1 << 16
 MAX_SPAN_DEFAULT = 10**9
+RADICAL_CHAIN_HI_MAX = 10**9  # int64 cross-products stay exact up to here
 _SEGMENT_ELEMS = 1 << 21  # sieve granularity: blocks are batched up to this size
 
 PARITIES = ("all", "odd", "even")
@@ -118,9 +119,13 @@ def _radical_chain_hits(a: int, b: int) -> list[tuple[int, str]]:
     """Odd n in [a, b] where the radical-vs-n abundancy relation fails.
 
     For odd n the relation is sigma(rad)/(2 rad) < sigma(n)/(2n) when n has
-    a repeated prime factor, with exact equality when n is squarefree.
-    Cross-multiplied comparison keeps everything in (checked) int64 range
-    for b <= ~10**9.
+    a repeated prime factor, with exact equality when n is squarefree.  It
+    is compared cross-multiplied in int64, which is exact for
+    b <= RADICAL_CHAIN_HI_MAX = 10**9: both products sigma(rad)*n and
+    sigma(n)*rad are at most sigma(n)*n, because rad divides n.  Robin's
+    unconditional bound sigma(n)/n < e**gamma*lnln(n) + 0.6483/lnln(n)
+    (n >= 3) grows with n from n = 16 on and gives sigma(n) < 5.62*n at
+    10**9, so sigma(n)*n < 5.62e18 < 2**63; below 16 the products are tiny.
     """
     import numpy as np
 
@@ -360,5 +365,9 @@ def scan_radical_chain(
     """Verify, for every odd n in [lo, hi], that n's abundancy strictly
     exceeds its radical's when n is not squarefree (with equality when it
     is).  Violations would disprove the exponent-raising chain argument;
-    none are expected, ever."""
+    none are expected, ever.  `hi` may not exceed RADICAL_CHAIN_HI_MAX."""
+    if hi > RADICAL_CHAIN_HI_MAX:
+        raise ValueError(
+            f"hi must be <= {RADICAL_CHAIN_HI_MAX} for a radical-chain scan (int64 ceiling)"
+        )
     return _run_scan("radical_chain", lo, hi, "odd", jobs, block_size, checkpoint, max_span)

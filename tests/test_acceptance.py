@@ -17,8 +17,8 @@ from opnkit.bounds import (
     prime_sum_lower_bound,
     radical_lower_bound,
     refined_reciprocal_rhs,
-    two_to_inverse_r,
 )
+from opnkit.interval import nth_root_enclosure
 from opnkit.checks import run_verify_suite
 from opnkit.constraints import Overall, Verdict, audit
 from opnkit.scan import scan_perfect
@@ -151,7 +151,11 @@ def test_interval_contract_random():
     """10**3 random evaluations: doubled-precision recomputation stays inside,
     and width at least halves when precision doubles."""
     rng = random.Random(SEED)
-    evaluators = [radical_lower_bound, prime_sum_lower_bound, two_to_inverse_r]
+
+    def root_of_two(r, bits):
+        return nth_root_enclosure(2, r, bits)
+
+    evaluators = [radical_lower_bound, prime_sum_lower_bound, root_of_two]
     ok = True
     for _ in range(10**3):
         r = rng.randint(1, 10**4)

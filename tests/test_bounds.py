@@ -8,16 +8,15 @@ import pytest
 from opnkit.bounds import (
     BoundsReport,
     Ordering3,
-    PowerOfTwo,
     bounds_report,
     compare_rational_to_bound,
-    n_lower_bound,
+    decide,
     nielsen_upper_bound,
     prime_sum_lower_bound,
     radical_lower_bound,
     refined_reciprocal_rhs,
-    two_to_inverse_r,
 )
+from opnkit.interval import nth_root_enclosure
 
 
 def contains_two_sqrt2_plus(iv, offset):
@@ -37,40 +36,15 @@ def mp_oracle(expr_fn, prec) -> Fraction:
     return -fr if sign else fr
 
 
-# --- two_to_inverse_r ----------------------------------------------------------
-
-
-def test_two_to_inverse_r_exact_point():
-    iv = two_to_inverse_r(1, 64)
-    assert iv.lo == iv.hi
-    assert iv.lo.as_fraction() == 2
-
-
-def test_two_to_inverse_r_sqrt2():
-    iv = two_to_inverse_r(2, 64)
-    sq = iv.pow_int(2)
-    assert sq.contains(2)
-    assert iv.lo.as_fraction() ** 2 < 2 < iv.hi.as_fraction() ** 2
-
-
-def test_two_to_inverse_r_ninth_root():
-    iv = two_to_inverse_r(9, 128)
-    assert iv.width().as_fraction() <= Fraction(1, 2**126)
-    assert iv.lo.as_fraction() ** 9 < 2 < iv.hi.as_fraction() ** 9
-
-
-def test_two_to_inverse_r_validation():
-    with pytest.raises(ValueError):
-        two_to_inverse_r(0, 64)
-    with pytest.raises(ValueError):
-        two_to_inverse_r(3, 4)
+def root_of_two(r, bits):
+    return nth_root_enclosure(2, r, bits)
 
 
 # --- the lower bounds ----------------------------------------------------------
 
 
 def test_r1_bounds_are_exactly_one():
-    for fn in (radical_lower_bound, prime_sum_lower_bound, n_lower_bound):
+    for fn in (radical_lower_bound, prime_sum_lower_bound):
         iv = fn(1, 64)
         assert iv.lo == iv.hi
         assert iv.lo.as_fraction() == 1
@@ -105,12 +79,12 @@ def test_prime_sum_bound_r9_against_mpmath():
     assert iv.lo.as_fraction() < oracle < iv.hi.as_fraction()
 
 
-def test_n_lower_bound_matches_radical_bound():
+def test_n_lower_bound_key_is_radical_bound():
     for r in (2, 9):
-        a = radical_lower_bound(r, 96)
-        n = n_lower_bound(r, 96)
-        assert a.overlaps(n)
-        assert a.lo == n.lo and a.hi == n.hi
+        doc = bounds_report(r, 96).to_json_dict(digits=30)
+        assert doc["n_lower_bound"] == doc["radical_lower_bound"]
+        lo, hi = radical_lower_bound(r, 96).to_decimal_pair(30)
+        assert doc["n_lower_bound"] == {"lo": lo, "hi": hi}
 
 
 def test_prime_sum_vs_radical_consistency():
@@ -133,7 +107,7 @@ def test_monotone_refinement():
     for _ in range(40):
         r = rng.randint(2, 10**4)
         p = rng.choice([64, 128, 256])
-        fn = rng.choice([radical_lower_bound, prime_sum_lower_bound, two_to_inverse_r])
+        fn = rng.choice([radical_lower_bound, prime_sum_lower_bound, root_of_two])
         coarse = fn(r, p)
         fine = fn(r, 2 * p)
         w = coarse.width().as_fraction()
@@ -161,18 +135,9 @@ def test_outward_rounding_true_value_inside():
 def test_nielsen_upper_bound():
     assert nielsen_upper_bound(1).log2 == 4
     assert nielsen_upper_bound(2).log2 == 16
-    assert nielsen_upper_bound(2).value() == 65536
     assert nielsen_upper_bound(9).log2 == 262144
     with pytest.raises(ValueError):
         nielsen_upper_bound(0)
-
-
-def test_power_of_two_comparisons():
-    p = PowerOfTwo(16)
-    assert p.is_above(65535)
-    assert not p.is_above(65536)
-    with pytest.raises(ValueError):
-        p.is_above(0)
 
 
 # --- the refined reciprocal ceiling ---------------------------------------------
@@ -207,7 +172,7 @@ def test_compare_examples():
     assert compare_rational_to_bound(Fraction(5), "radical", 2) is Ordering3.BELOW
     assert compare_rational_to_bound(Fraction(1), "radical", 1) is Ordering3.UNDECIDED
     assert compare_rational_to_bound(Fraction(3), "prime_sum", 1) is Ordering3.ABOVE
-    assert compare_rational_to_bound(Fraction(1, 2), "n", 1) is Ordering3.BELOW
+    assert compare_rational_to_bound(Fraction(1, 2), "radical", 1) is Ordering3.BELOW
 
 
 def test_compare_terminates_near_bound():
@@ -222,6 +187,8 @@ def test_compare_terminates_near_bound():
 def test_compare_validation():
     with pytest.raises(ValueError):
         compare_rational_to_bound(Fraction(1), "nope", 2)
+    with pytest.raises(ValueError):
+        compare_rational_to_bound(Fraction(1), "n", 2)  # the radical bound's old alias
     with pytest.raises(ValueError):
         compare_rational_to_bound(Fraction(-1), "radical", 2)
     with pytest.raises(ValueError):
@@ -242,7 +209,6 @@ def test_compare_low_cap_undecides():
 def test_bounds_report_structure():
     rep = bounds_report(9, 128)
     assert isinstance(rep, BoundsReport)
-    assert rep.n_lb.lo == rep.radical_lb.lo
     assert rep.n_ub.log2 == 262144
     doc = rep.to_json_dict(digits=30)
     assert set(doc) == {
@@ -254,9 +220,61 @@ def test_bounds_report_structure():
         "n_upper_bound",
     }
     assert doc["n_upper_bound"] == {"log2": 262144}
+    assert doc["n_lower_bound"] == doc["radical_lower_bound"]
     # endpoint strings must themselves bracket outward
     lo = Fraction(doc["radical_lower_bound"]["lo"].replace("e", "E"))
     hi = Fraction(doc["radical_lower_bound"]["hi"].replace("e", "E"))
     assert lo <= rep.radical_lb.lo.as_fraction()
     assert hi >= rep.radical_lb.hi.as_fraction()
     json.dumps(doc)  # serializable
+
+
+# --- the refinement loop ----------------------------------------------------------
+
+
+def recording_sqrt2(calls):
+    def enclose(bits):
+        calls.append(bits)
+        return root_of_two(2, bits)
+
+    return enclose
+
+
+# sqrt(2) truncated to 49 decimals: about 163 bits are needed to separate them
+SQRT2_49 = Fraction(14142135623730950488016887242096980785696718753769, 10**49)
+
+
+def test_decide_below_and_above():
+    for x, want in ((Fraction(1), Ordering3.BELOW), (Fraction(3, 2), Ordering3.ABOVE)):
+        calls = []
+        order, enclosure = decide(x, recording_sqrt2(calls), 64, 1024)
+        assert order is want
+        assert calls == [64]
+        assert enclosure.precision_bits == 64
+        assert enclosure.lo.as_fraction() ** 2 < 2 < enclosure.hi.as_fraction() ** 2
+
+
+def test_decide_refines_until_decided():
+    calls = []
+    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls), 8, 1 << 12)
+    assert order is Ordering3.BELOW  # the truncated decimal lies below sqrt(2)
+    assert calls == [8, 16, 32, 64, 128, 256]
+    assert enclosure.precision_bits == calls[-1]
+    assert enclosure.lo.cmp_fraction(SQRT2_49) > 0
+
+
+def test_decide_undecided_at_cap():
+    calls = []
+    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls), 64, 100)
+    assert order is Ordering3.UNDECIDED
+    assert calls == [64, 100]
+    assert enclosure.precision_bits == 100
+    assert enclosure.contains(SQRT2_49)
+
+
+def test_decide_start_above_cap_clamps():
+    calls = []
+    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls), 64, 16)
+    assert order is Ordering3.UNDECIDED
+    assert calls == [16]
+    assert enclosure.precision_bits == 16

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from opnkit import scan
 from opnkit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -68,6 +72,14 @@ def test_check_undecided_exit_code(capsys):
     code, out, _ = run(capsys, "check", huge)
     assert code == 3
     assert "overall: Undecided" in out
+
+
+def test_check_beyond_str_digit_limit(capsys):
+    # sigma(N) has 4776 digits, past Python's int-to-str limit
+    code, out, err = run(capsys, "check", "3^10001*5^2*7^2")
+    assert code == 1
+    assert "(4776 digits)" in out and out.endswith("overall: Refuted\n")
+    assert err == ""
 
 
 def test_check_json_roundtrip(capsys):
@@ -220,6 +232,30 @@ def test_scan_resume_matches(tmp_path, capsys):
     assert resumed == full
 
 
+def test_scan_radical_chain(capsys):
+    code, out, _ = run(capsys, "scan", "--kind", "radical-chain", "--lo", "3", "--hi", "100000", "--jobs", "1")
+    assert code == 0
+    assert out.startswith("range: [3, 100000] parity=odd\ntested: 49999\nfound: 0\n")
+
+
+def test_scan_radical_chain_violation_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(scan, "_radical_chain_hits", lambda a, b: [(9, "injected")] if a <= 9 <= b else [])
+    code, out, _ = run(capsys, "scan", "--kind", "radical-chain", "--lo", "3", "--hi", "1000",
+                       "--jobs", "1", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["violations"] == [{"n": 9, "detail": "injected"}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lo", "4000000000", "--hi", "4000200000"],  # above the int64 ceiling
+    ["--lo", "3", "--hi", "1000", "--parity", "even"],
+])
+def test_scan_radical_chain_rejected(capsys, argv):
+    code, out, err = run(capsys, "scan", "--kind", "radical-chain", "--jobs", "1", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 # --- sk -------------------------------------------------------------------------
 
 
@@ -255,3 +291,16 @@ def test_sk_json(capsys):
 def test_sk_parse_error(capsys):
     code, _, err = run(capsys, "sk", "3**5")
     assert code == 2
+
+
+# --- canonical output -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, code, argv", [
+    ("check", 1, ["check", "3^2*5*7^2"]),
+    ("bounds", 0, ["bounds", "-r", "9", "--digits", "50"]),
+    ("sk", 0, ["sk", "3*5*7"]),
+    ("verify_gmhm", 0, ["verify", "gmhm", "--trials", "20", "--seed", "7"]),
+])
+def test_canonical_json_matches_golden(capsys, name, code, argv):
+    assert run(capsys, *argv, "--format", "json") == (code, (GOLDEN / f"{name}.json").read_text(), "")

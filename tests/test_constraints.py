@@ -1,18 +1,24 @@
+import contextlib
 import json
 import random
+import sys
+from math import prod
+
+import pytest
 
 from opnkit.arith import Factorization, factorize, parse_factorization
-from opnkit.bounds import Ordering3
+from opnkit.bounds import Ordering3, radical_lower_bound
 from opnkit.constraints import (
     ConstraintReport,
     Overall,
     Verdict,
-    _compare_value_to_pow2,
-    _compare_value_to_pow10,
+    _compare_factored,
+    _fmt_int,
     _power_exceeds,
     audit,
     explain,
 )
+from opnkit.primes import primes_up_to
 
 ALL_IDS = [
     "parity",
@@ -170,20 +176,44 @@ def test_power_exceeds():
     assert _power_exceeds(3, 2**31, 10**20)
 
 
+def pow2(k):
+    return ((2, k),)
+
+
+def pow10(d):
+    return ((2, d), (5, d))
+
+
 def test_size_comparisons():
     pairs_small = ((3, 2), (5, 1))
-    assert _compare_value_to_pow10(pairs_small, 300) is Ordering3.BELOW
-    assert _compare_value_to_pow2(pairs_small, 4**2) is Ordering3.BELOW
+    assert _compare_factored(pairs_small, pow10(300)) is Ordering3.BELOW
+    assert _compare_factored(pairs_small, pow2(4**2)) is Ordering3.BELOW
     pairs_huge = ((3, 1000), (5, 1))  # ~10^477
-    assert _compare_value_to_pow10(pairs_huge, 300) is Ordering3.ABOVE
-    assert _compare_value_to_pow2(pairs_huge, 100) is Ordering3.ABOVE
+    assert _compare_factored(pairs_huge, pow10(300)) is Ordering3.ABOVE
+    assert _compare_factored(pairs_huge, pow2(100)) is Ordering3.ABOVE
     # boundary-ish: 3^628 is just above 10^299.6
-    assert _compare_value_to_pow10(((3, 629),), 300) is Ordering3.ABOVE
-    assert _compare_value_to_pow10(((3, 628),), 300) is Ordering3.BELOW
+    assert _compare_factored(((3, 629),), pow10(300)) is Ordering3.ABOVE
+    assert _compare_factored(((3, 628),), pow10(300)) is Ordering3.BELOW
     # gigantic exponents never materialize
-    assert _compare_value_to_pow10(((3, 2**31),), 300) is Ordering3.ABOVE
-    assert _compare_value_to_pow2(((3, 2**31),), 4**9) is Ordering3.ABOVE
-    assert _compare_value_to_pow2(((3, 2**31),), 4**20) is Ordering3.BELOW
+    assert _compare_factored(((3, 2**31),), pow10(300)) is Ordering3.ABOVE
+    assert _compare_factored(((3, 2**31),), pow2(4**9)) is Ordering3.ABOVE
+    assert _compare_factored(((3, 2**31),), pow2(4**20)) is Ordering3.BELOW
+    # log2(3^(2^31)) - 3.403e9 is about 6.6e5: only the 4096 scale decides,
+    # and only because the window of 2^k is exactly k
+    assert _compare_factored(((3, 2**31),), pow2(3_403_000_000)) is Ordering3.ABOVE
+
+
+def test_size_comparisons_against_exact_values():
+    rng = random.Random(2024)
+    pool = primes_up_to(200)[1:]
+    for _ in range(400):
+        pairs = tuple((p, rng.randint(1, 40)) for p in sorted(rng.sample(pool, rng.randint(1, 4))))
+        v = prod(p**e for p, e in pairs)
+        k = v.bit_length() + rng.randint(-2, 1)
+        d = len(str(v)) + rng.randint(-2, 1)
+        for target, t in ((pow2(k), 2**k), (pow10(d), 10**d)):
+            want = Ordering3.BELOW if v < t else Ordering3.ABOVE
+            assert _compare_factored(pairs, target) is want, (pairs, target)
 
 
 def test_brent_and_nielsen_verdicts():
@@ -287,3 +317,55 @@ def test_report_json():
     assert doc["overall"] == "Refuted"
     assert {v["verdict"] for v in doc["verdicts"]} <= {"Pass", "Fail", "NotApplicable", "Undecided"}
     json.dumps(doc)
+
+
+def test_bound_verdict_shows_deciding_enclosure():
+    # 105 clears the r = 3 radical bound (about 56.9) at the first, 8-bit step
+    v = by_id(audit(parse_factorization("3^2*5*7^2"), start_bits=8))
+    lo, hi = radical_lower_bound(3, 8).to_decimal_pair(20)
+    assert v["radical_bound"].verdict is Verdict.PASS
+    assert v["radical_bound"].detail == f"radical(N) = 105 vs lower bound in [{lo}, {hi}]"
+    assert radical_lower_bound(3, 64).to_decimal_pair(20) != (lo, hi)
+
+
+@contextlib.contextmanager
+def unlimited_int_str():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def fmt_int_via_str(x, max_digits=40):
+    s = str(x)
+    if len(s) <= max_digits:
+        return s
+    return f"{s[0]}.{s[1:16]}e{len(s) - 1} ({len(s)} digits)"
+
+
+def test_fmt_int_matches_str_rendering():
+    rng = random.Random(4300)
+    values = [rng.randrange(10 ** rng.randint(1, 4299)) for _ in range(600)]
+    for k in (1, 15, 16, 17, 39, 40, 41, 100, 1000, 4298, 4299):
+        values += [10**k - 1, 10**k, 10**k + 1]
+    for x in values:
+        assert _fmt_int(x) == fmt_int_via_str(x), x
+
+
+@pytest.mark.parametrize(
+    "text", ["3^10001*5^2*7^2", "3^2*5^2*13^9001", "3^2*5^2*7^2*11^2*17^13001"]
+)
+def test_audit_beyond_str_digit_limit(text):
+    # N has 4300..20000 digits: evaluated exactly, rendered without str()
+    f = parse_factorization(text)
+    report = audit(f)
+    assert report.overall is Overall.REFUTED
+    v = by_id(report)
+    assert v["perfect_exact"].verdict is Verdict.FAIL
+    n = prod(p**e for p, e in f.pairs)
+    s = prod((p ** (e + 1) - 1) // (p - 1) for p, e in f.pairs)
+    with unlimited_int_str():
+        want = f"sigma(N) = {fmt_int_via_str(s)} != 2N = {fmt_int_via_str(2 * n)}"
+    assert v["perfect_exact"].detail == want

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from opnkit.scan import (
+    RADICAL_CHAIN_HI_MAX,
     CheckpointError,
     _count_parity,
     factor_odd_with_spf,
@@ -124,6 +125,21 @@ def test_radical_chain_examples():
     assert 4 * 9 < 13 * 3 * (3)  # sanity of the cross-multiplied relation
     rep = scan_radical_chain(9, 15)
     assert rep.violations == ()
+
+
+def test_radical_chain_at_ceiling():
+    # the int64 cross-products are exact up to RADICAL_CHAIN_HI_MAX
+    rep = scan_radical_chain(RADICAL_CHAIN_HI_MAX - 2 * 10**5 + 1, RADICAL_CHAIN_HI_MAX)
+    assert rep.violations == ()
+    assert rep.tested_count == 10**5
+
+
+def test_radical_chain_rejects_hi_above_ceiling():
+    # past the ceiling int64 overflows: this window gave 1030 false violations
+    with pytest.raises(ValueError):
+        scan_radical_chain(4 * 10**9, 4 * 10**9 + 2 * 10**5)
+    with pytest.raises(ValueError):
+        scan_radical_chain(RADICAL_CHAIN_HI_MAX - 10, RADICAL_CHAIN_HI_MAX + 1)
 
 
 def test_checkpoint_resume(tmp_path):
