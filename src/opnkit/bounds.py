@@ -54,6 +54,29 @@ def _root_minus_one(r: int, work: int) -> tuple[Dyadic, Dyadic]:
     return lo, hi
 
 
+def _radical_from(r: int, work: int, d_lo: Dyadic, d_hi: Dyadic) -> tuple[Dyadic, Dyadic]:
+    # 1 / d**r for d in [d_lo, d_hi], outward
+    den_lo = pow_dir(d_lo, r, work, up=False)
+    den_hi = pow_dir(d_hi, r, work, up=True)
+    return div_dir(ONE, den_hi, work, up=False), div_dir(ONE, den_lo, work, up=True)
+
+
+def _prime_sum_from(r: int, work: int, d_lo: Dyadic, d_hi: Dyadic) -> tuple[Dyadic, Dyadic]:
+    # r / d for d in [d_lo, d_hi], outward
+    r_dyadic = Dyadic(r)
+    return div_dir(r_dyadic, d_hi, work, up=False), div_dir(r_dyadic, d_lo, work, up=True)
+
+
+def _lower_bounds(r: int, precision_bits: int, *derive) -> list[Interval]:
+    """One enclosure per derivation, all from one enclosure of 2**(1/r) - 1."""
+    _validate(r, precision_bits)
+    if r == 1:
+        return [Interval.point(1, precision_bits) for _ in derive]
+    work = _work_bits(r, precision_bits)
+    d = _root_minus_one(r, work)
+    return [Interval(*f(r, work, *d), precision_bits) for f in derive]
+
+
 def radical_lower_bound(r: int, precision_bits: int) -> Interval:
     """Certified enclosure of 1 / (2**(1/r) - 1)**r; exact 1 when r = 1.
 
@@ -61,33 +84,14 @@ def radical_lower_bound(r: int, precision_bits: int) -> Interval:
     must exceed this value, so it lower-bounds the radical of an odd
     perfect number with r distinct prime factors.
     """
-    _validate(r, precision_bits)
-    if r == 1:
-        return Interval.point(1, precision_bits)
-    work = _work_bits(r, precision_bits)
-    d_lo, d_hi = _root_minus_one(r, work)
-    den_lo = pow_dir(d_lo, r, work, up=False)
-    den_hi = pow_dir(d_hi, r, work, up=True)
-    return Interval(
-        div_dir(ONE, den_hi, work, up=False),
-        div_dir(ONE, den_lo, work, up=True),
-        precision_bits,
-    )
+    (bound,) = _lower_bounds(r, precision_bits, _radical_from)
+    return bound
 
 
 def prime_sum_lower_bound(r: int, precision_bits: int) -> Interval:
     """Certified enclosure of r / (2**(1/r) - 1); exact 1 when r = 1."""
-    _validate(r, precision_bits)
-    if r == 1:
-        return Interval.point(1, precision_bits)
-    work = _work_bits(r, precision_bits)
-    d_lo, d_hi = _root_minus_one(r, work)
-    r_dyadic = Dyadic(r)
-    return Interval(
-        div_dir(r_dyadic, d_hi, work, up=False),
-        div_dir(r_dyadic, d_lo, work, up=True),
-        precision_bits,
-    )
+    (bound,) = _lower_bounds(r, precision_bits, _prime_sum_from)
+    return bound
 
 
 @dataclass(frozen=True)
@@ -210,11 +214,17 @@ class BoundsReport:
 
 
 def bounds_report(r: int, precision_bits: int) -> BoundsReport:
-    _validate(r, precision_bits)
+    """Both lower bounds and the upper bound for r, from one root of 2.
+
+    The two lower bounds equal `radical_lower_bound(r, precision_bits)` and
+    `prime_sum_lower_bound(r, precision_bits)`: they share the working
+    precision, so the enclosure of 2**(1/r) - 1 is computed once for both.
+    """
+    radical, prime_sum = _lower_bounds(r, precision_bits, _radical_from, _prime_sum_from)
     return BoundsReport(
         r=r,
-        radical_lb=radical_lower_bound(r, precision_bits),
-        prime_sum_lb=prime_sum_lower_bound(r, precision_bits),
+        radical_lb=radical,
+        prime_sum_lb=prime_sum,
         n_ub=nielsen_upper_bound(r),
         precision_bits=precision_bits,
     )

@@ -52,6 +52,14 @@ class PrimeSet:
                 raise ValueError(f"{p} is not prime")
             last = p
 
+    @classmethod
+    def _from_checked(cls, primes: tuple[int, ...]) -> "PrimeSet":
+        # skips validation: callers must pass a strictly increasing tuple of
+        # odd ints they already know to be prime
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "primes", primes)
+        return obj
+
     def __len__(self) -> int:
         return len(self.primes)
 
@@ -62,7 +70,7 @@ def random_prime_set(
     """Uniformly sample r in [1, max_size] distinct odd primes below prime_cap."""
     pool = primes_up_to(prime_cap)[1:]  # the cached sieve, without 2
     r = rng.randint(1, max_size)
-    return PrimeSet(tuple(sorted(rng.sample(pool, r))))
+    return PrimeSet._from_checked(tuple(sorted(rng.sample(pool, r))))
 
 
 def _sigma_value(pairs) -> tuple[int, int]:

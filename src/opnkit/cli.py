@@ -7,6 +7,7 @@ Exit codes are a stable contract:
   2  invalid arguments or unparseable factorization
   3  audit Undecided, or a verify suite reached its precision cap
   4  unreadable checkpoint file
+  5  internal error: an unexpected exception, reported on one stderr line
 """
 
 from __future__ import annotations
@@ -265,7 +266,12 @@ def main(argv=None) -> int:
         "scan": _cmd_scan,
         "sk": _cmd_sk,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except Exception as exc:  # a fault of the program, never a verdict: not exit 1
+        message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        print(f"internal error: {message}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ real value lies inside it by construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,8 +95,17 @@ class Dyadic:
         return NotImplemented if other is NotImplemented else self._cmp(other) >= 0
 
     def cmp_fraction(self, x: Fraction) -> int:
-        """Exact three-way comparison against any rational."""
-        return (self.as_fraction() > x) - (self.as_fraction() < x)
+        """Exact three-way comparison against any rational (or int).
+
+        Cross-multiplies mant * 2**exp against num / den in integers, so no
+        Fraction (and no gcd) is built.
+        """
+        a, b = self.mant * x.denominator, x.numerator
+        if self.exp >= 0:
+            a <<= self.exp
+        else:
+            b <<= -self.exp
+        return (a > b) - (a < b)
 
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.mant, self.exp)
@@ -135,12 +145,6 @@ class Dyadic:
 ONE = Dyadic(1)
 
 
-def mul_dir(a: Dyadic, b: Dyadic, bits: int, up: bool) -> Dyadic:
-    """a*b rounded in the given direction to `bits` mantissa bits."""
-    m, e = _round_mant(a.mant * b.mant, a.exp + b.exp, bits, up)
-    return Dyadic(m, e)
-
-
 def div_dir(a: Dyadic, b: Dyadic, bits: int, up: bool) -> Dyadic:
     """a/b (b > 0) rounded in the given direction to `bits` mantissa bits."""
     if b.mant <= 0:
@@ -156,15 +160,18 @@ def pow_dir(a: Dyadic, n: int, bits: int, up: bool) -> Dyadic:
     """a**n (a >= 0, n >= 0) with every step rounded in the given direction."""
     if a.mant < 0:
         raise ValueError("pow_dir requires a nonnegative base")
-    result = ONE
-    base = a
+    # plain (mant, exp) pairs, one Dyadic at the end: directed rounding to
+    # `bits` significant bits depends only on the value, so the zero low
+    # bits an unnormalised mantissa carries change nothing
+    rm, re = 1, 0
+    bm, be = a.mant, a.exp
     while n:
         if n & 1:
-            result = mul_dir(result, base, bits, up)
+            rm, re = _round_mant(rm * bm, re + be, bits, up)
         n >>= 1
         if n:
-            base = mul_dir(base, base, bits, up)
-    return result
+            bm, be = _round_mant(bm * bm, be + be, bits, up)
+    return Dyadic(rm, re)
 
 
 def fraction_to_dyadic(x: Fraction, bits: int, up: bool) -> Dyadic:
@@ -185,6 +192,21 @@ def decimal_exponent(x: Fraction) -> int:
     while 10**max(e, 0) * den > num * 10**max(-e, 0):
         e -= 1
     return e
+
+
+def _digit_string(q: int, digits: int) -> str:
+    """The decimal digits of 0 <= q < 10**digits, zero-padded to `digits`.
+
+    str() refuses integers longer than sys.get_int_max_str_digits() (4300
+    digits by default), so a longer q is split at a power of ten and its
+    halves are rendered apart.  (Pythons without the limit have no getter.)
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0 or digits <= limit:
+        return str(q).zfill(digits)
+    low = digits // 2
+    high, rest = divmod(q, 10**low)
+    return _digit_string(high, digits - low) + _digit_string(rest, low)
 
 
 def to_decimal(d: Dyadic, digits: int, up: bool) -> str:
@@ -213,7 +235,7 @@ def to_decimal(d: Dyadic, digits: int, up: bool) -> str:
     if q >= 10**digits:
         q //= 10
         e10 += 1
-    s = str(q)
+    s = _digit_string(q, digits)
     if digits == 1:
         return f"{s}e{e10}"
     return f"{s[0]}.{s[1:]}e{e10}"
@@ -310,27 +332,72 @@ def _div_fraction_dyadic(t: Fraction, b: Dyadic, bits: int, up: bool) -> Dyadic:
     return div_dir(q, Dyadic(t.denominator), bits, up)
 
 
+# the float seed is good to about 50 bits, so Newton starts at this precision
+_NEWTON_BASE_BITS = 64
+
+
+def _newton_precisions(k: int, bits: int) -> list[int]:
+    """Ascending Newton precisions that end at `bits`.
+
+    Going down from `bits`, each level is the one above halved plus a guard
+    of k.bit_length() + 8 bits, for the factor of about k that the error of
+    a k-th-root Newton step picks up.  The schedule stops at
+    _NEWTON_BASE_BITS, or at three guards, below which halving would
+    barely shrink the next level.
+    """
+    guard = k.bit_length() + 8
+    levels = [bits]
+    while levels[-1] > max(_NEWTON_BASE_BITS, 3 * guard):
+        levels.append(levels[-1] // 2 + guard)
+    return levels[::-1]
+
+
+def _newton_step(t: Fraction, k: int, x: Dyadic, bits: int) -> Dyadic:
+    # x' = ((k-1) x + t / x**(k-1)) / k, every operation at `bits` bits
+    p = pow_dir(x, k - 1, bits, up=False)
+    q = _div_fraction_dyadic(t, p, bits, up=False)
+    return div_dir(x * (k - 1) + q, Dyadic(k), bits, up=False)
+
+
 def _root_newton(t: Fraction, k: int, bits: int) -> Dyadic:
-    """Uncertified Newton approximation of t**(1/k) at ~bits precision."""
+    """Uncertified Newton approximation of t**(1/k) at ~bits precision.
+
+    Precision doubling: Newton converges quadratically, so a step taken
+    from an iterate good to p bits delivers about 2p bits, and running it
+    at more than that wastes work.  The iteration therefore climbs the
+    schedule of `_newton_precisions`: at its lowest level it runs from the
+    float seed until the step falls below the level's last few bits, then
+    takes exactly one step at each higher level, the last at the full
+    `bits` (that step always runs, however small `bits` is).  Nothing here
+    is trusted: `nth_root_enclosure` proves its enclosure independently.
+    """
+    levels = _newton_precisions(k, bits)
+    base = levels[0]
     x = _root_seed(t, k)
     for _ in range(80):
-        p = pow_dir(x, k - 1, bits, up=False)
-        q = _div_fraction_dyadic(t, p, bits, up=False)
-        x_next = div_dir(x * (k - 1) + q, Dyadic(k), bits, up=False)
+        x_next = _newton_step(t, k, x, base)
         delta = x_next - x
         x = x_next
-        if delta.mant == 0 or delta.msb <= x.msb - bits + 4:
+        if delta.mant == 0 or delta.msb <= x.msb - base + 4:
             break
+    for level in levels[1:]:
+        x = _newton_step(t, k, x, level)
     return x
 
 
 def nth_root_enclosure(t, k: int, precision_bits: int) -> Interval:
     """Certified enclosure of t**(1/k) for rational t > 0, k >= 1.
 
-    The candidate comes from truncated Newton iteration; the returned
-    endpoints are then *proved* correct by directed-rounded powering
-    (pow_up(lo) <= t forces lo <= t**(1/k), and symmetrically above).
-    For values near 1 the width is at most 2**-(precision_bits+2).
+    The candidate comes from `_root_newton` at work = precision_bits + 16
+    bits: Newton with precision doubling, each step at about twice the
+    precision of the one before plus k.bit_length() + 8 guard bits, the
+    last one at the full work precision.  The returned endpoints, the
+    candidate widened by a few ulps, are then *proved* correct by
+    directed-rounded powering at work + 8 bits (pow_up(lo) <= t forces
+    lo <= t**(1/k), and symmetrically above).  So the proof does not depend
+    on how accurate Newton was: a poor candidate costs a wider slack, or a
+    retry at twice the work precision, never a wrong enclosure.  For
+    values near 1 the width is at most 2**-(precision_bits+2).
     """
     t = Fraction(t)
     if t <= 0:

@@ -229,6 +229,30 @@ def test_bounds_report_structure():
     json.dumps(doc)  # serializable
 
 
+def test_bounds_report_matches_separate_bounds(monkeypatch):
+    # one root of 2 serves both bounds, with the same enclosures as apart
+    import opnkit.bounds as bounds
+
+    roots = []
+    enclose = bounds.nth_root_enclosure
+
+    def counting(t, k, bits):
+        roots.append(k)
+        return enclose(t, k, bits)
+
+    rng = random.Random(11)
+    cases = [(1, 64), (2, 1), (2, 64), (9, 128), (97, 200)]
+    cases += [(rng.randint(2, 7000), rng.choice([16, 64, 128, 1000])) for _ in range(12)]
+    for r, bits in cases:
+        monkeypatch.setattr(bounds, "nth_root_enclosure", counting)
+        roots.clear()
+        rep = bounds_report(r, bits)
+        assert roots == ([] if r == 1 else [r])
+        monkeypatch.undo()
+        assert rep.radical_lb == radical_lower_bound(r, bits)
+        assert rep.prime_sum_lb == prime_sum_lower_bound(r, bits)
+
+
 # --- the refinement loop ----------------------------------------------------------
 
 

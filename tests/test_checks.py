@@ -233,6 +233,29 @@ def test_random_prime_set_pool_unchanged():
             assert random_prime_set(rng, prime_cap=cap).primes == expected
 
 
+def test_random_prime_set_trusts_the_sieve(monkeypatch):
+    # draws come from the sieve, so they are not primality-tested again;
+    # a PrimeSet built by hand still is
+    import opnkit.checks as checks
+
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return True
+
+    monkeypatch.setattr(checks, "is_prime", counting_is_prime)
+    rng = random.Random(3)
+    for _ in range(50):
+        ps = random_prime_set(rng, prime_cap=500)
+        assert all(p % 2 == 1 for p in ps.primes)
+        assert list(ps.primes) == sorted(set(ps.primes))
+    assert calls == []
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        PrimeSet((3, 9))
+
+
 def test_run_suite_chain():
     result = run_verify_suite("chain", limit=5000)
     assert result.passed

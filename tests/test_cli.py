@@ -39,6 +39,15 @@ def test_bounds_r9_json(capsys):
     assert doc["radical_lower_bound"]["lo"].startswith("7.400694480049443621632485203800044")
 
 
+def test_bounds_beyond_str_digit_limit(capsys):
+    # 5000 digits: more than str() renders by default
+    code, out, err = run(capsys, "bounds", "-r", "9", "--digits", "5000")
+    assert code == 0, err
+    assert "radical lower bound:   [7.40069448004944362163" in out
+    lo = out.split("radical lower bound:   [")[1].split(",")[0]
+    assert len(lo) == len("7.") + 4999 + len("e3")
+
+
 def test_bounds_invalid(capsys):
     code, _, err = run(capsys, "bounds", "-r", "0")
     assert code == 2
@@ -304,3 +313,20 @@ def test_sk_parse_error(capsys):
 ])
 def test_canonical_json_matches_golden(capsys, name, code, argv):
     assert run(capsys, *argv, "--format", "json") == (code, (GOLDEN / f"{name}.json").read_text(), "")
+
+
+# --- internal errors --------------------------------------------------------------
+
+
+def test_unexpected_exception_exits_5(monkeypatch, capsys):
+    # a crash is not a verdict: it must not exit 1, the Refuted code
+    import opnkit.cli as cli
+
+    def broken(r, precision_bits):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "bounds_report", broken)
+    code, out, err = run(capsys, "bounds", "-r", "9")
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom second line\n"

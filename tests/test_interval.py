@@ -1,15 +1,20 @@
+import contextlib
+import random
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import opnkit.interval as interval
 from opnkit.interval import (
     Dyadic,
     Interval,
+    _round_mant,
     decimal_exponent,
     div_dir,
     fraction_to_dyadic,
-    mul_dir,
     nth_root_enclosure,
     pow_dir,
     to_decimal,
@@ -42,9 +47,8 @@ def test_dyadic_ordering():
 @given(st.integers(-(2**80), 2**80), st.integers(-50, 50), st.integers(4, 64))
 def test_directed_rounding_brackets(mant, exp, bits):
     d = Dyadic(mant, exp)
-    one = Dyadic(1)
-    down = mul_dir(d, one, bits, up=False)
-    up = mul_dir(d, one, bits, up=True)
+    down = Dyadic(*_round_mant(mant, exp, bits, up=False))
+    up = Dyadic(*_round_mant(mant, exp, bits, up=True))
     assert down.as_fraction() <= d.as_fraction() <= up.as_fraction()
     assert abs(down.mant) < 1 << bits
     assert abs(up.mant) <= 1 << bits  # carry can land exactly on a power of two
@@ -183,3 +187,149 @@ def test_to_decimal_brackets_value(mant, exp, digits):
         m, e = s.split("e")
         return Fraction(m) * Fraction(10) ** int(e)
     assert parse(lo) <= x <= parse(hi)
+
+
+@contextlib.contextmanager
+def int_str_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_to_decimal_beyond_str_digit_limit():
+    # the same strings as rendering through str() with the limit lifted
+    rng = random.Random(4300)
+    values = [Dyadic(10**4999 + 1), Dyadic(10**6000 - 1), Dyadic(1, -20000)]
+    values += [Dyadic(rng.getrandbits(30000) | 1, rng.randint(-40000, 0)) for _ in range(4)]
+    cases = [(d, digits, up) for d in values for digits in (639, 640, 641, 4300, 4301, 5000, 9001)
+             for up in (False, True)]
+    got = {}
+    for limit in (640, 4300):
+        with int_str_limit(limit):
+            got[limit] = [to_decimal(d, digits, up) for d, digits, up in cases]
+    with int_str_limit(0):
+        want = [to_decimal(d, digits, up) for d, digits, up in cases]
+    assert got[640] == want
+    assert got[4300] == want
+    exact = "1." + "0" * 4998 + "1e4999"  # 10**4999 + 1 has 5000 digits
+    assert want[cases.index((values[0], 5000, False))] == exact
+    assert want[cases.index((values[0], 5000, True))] == exact
+    assert want[cases.index((values[0], 4301, True))] == "1." + "0" * 4299 + "1e4999"
+
+
+# --- the certified root kernel ------------------------------------------------------
+
+
+def mul_dir(a, b, bits, up):
+    return Dyadic(*_round_mant(a.mant * b.mant, a.exp + b.exp, bits, up))
+
+
+def pow_dir_per_step(a, n, bits, up):
+    """Reference powering: a normalised Dyadic after every rounded step."""
+    result, base = Dyadic(1), a
+    while n:
+        if n & 1:
+            result = mul_dir(result, base, bits, up)
+        n >>= 1
+        if n:
+            base = mul_dir(base, base, bits, up)
+    return result
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**200),
+    st.integers(-300, 300),
+    st.integers(0, 3000),
+    st.integers(1, 300),
+    st.booleans(),
+)
+def test_pow_dir_matches_per_step_reference(mant, exp, n, bits, up):
+    d = Dyadic(mant, exp)
+    assert pow_dir(d, n, bits, up) == pow_dir_per_step(d, n, bits, up)
+
+
+@settings(max_examples=500)
+@given(
+    st.integers(-(2**300), 2**300),
+    st.integers(-400, 400),
+    st.one_of(st.integers(-(2**400), 2**400), st.fractions()),
+)
+def test_cmp_fraction_matches_fraction_order(mant, exp, x):
+    d = Dyadic(mant, exp)
+    v = d.as_fraction()
+    assert d.cmp_fraction(Fraction(x)) == (v > x) - (v < x)
+    if isinstance(x, int):
+        assert d.cmp_fraction(x) == (v > x) - (v < x)
+
+
+def root_inputs():
+    rng = random.Random(20000)
+    ks = {2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 127, 128, 129, 255, 256, 257,
+          1000, 1023, 1024, 1025, 4095, 4096, 4097, 9999, 16383, 16384, 16385, 20000}
+    ks |= {rng.randint(2, 20000) for _ in range(12)}
+    ts = [Fraction(2)]
+    ts += [Fraction(rng.randint(1, 10 ** rng.randint(1, 50)), rng.randint(1, 10 ** rng.randint(1, 50)))
+           for _ in range(3)]
+    return sorted(ks), ts
+
+
+@pytest.mark.parametrize("bits", [1, 8, 64, 128, 1000, 16384])
+def test_first_newton_candidate_certifies(monkeypatch, bits):
+    # the defensive `work *= 2` retry is never needed: one Newton call each
+    calls = []
+    newton = interval._root_newton
+
+    def counting(t, k, work):
+        calls.append((t, k, work))
+        return newton(t, k, work)
+
+    monkeypatch.setattr(interval, "_root_newton", counting)
+    ks, ts = root_inputs()
+    if bits == 16384:
+        ts = ts[:2]
+    for k in ks:
+        for t in ts:
+            calls.clear()
+            iv = nth_root_enclosure(t, k, bits)
+            assert len(calls) == 1, (t, k, bits)
+            assert iv.lo.as_fraction() > 0
+
+
+def test_newton_schedule_ends_at_full_precision():
+    for k in (2, 9, 1000, 20000, 2**40):
+        for bits in (1, 17, 64, 65, 80, 128, 1000, 16400):
+            levels = interval._newton_precisions(k, bits)
+            assert levels[-1] == bits
+            assert levels == sorted(set(levels))
+            guard = k.bit_length() + 8
+            for lower, upper in zip(levels, levels[1:]):
+                assert lower == upper // 2 + guard
+
+
+def mp_root(t, k, prec):
+    with mpmath.workprec(prec):
+        x = mpmath.root(mpmath.mpf(t.numerator) / t.denominator, k)
+        sign, man, exp, _ = x._mpf_
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("bits", [1, 8, 64, 128, 1000, 4096])
+def test_root_enclosure_against_mpmath(bits):
+    # an independent root at bits + 64 lies inside, and for roots in [1, 2)
+    # the width keeps the documented 2**-(bits+2)
+    rng = random.Random(bits)
+    cases = [(Fraction(2), k) for k in (2, 3, 9, 97, 1000, 4096, 20000)]
+    cases += [(Fraction(rng.randint(1, 10**30), rng.randint(1, 10**30)), rng.randint(2, 5000))
+              for _ in range(6)]
+    near_one = [(Fraction(rng.randint(10**20 + 1, 2 * 10**20 - 1), 10**20), rng.randint(2, 5000))
+                for _ in range(6)]
+    for t, k in cases + near_one:
+        iv = nth_root_enclosure(t, k, bits)
+        root = mp_root(t, k, bits + 64)
+        assert iv.lo.as_fraction() <= root <= iv.hi.as_fraction(), (t, k)
+        if 1 < t < 2**k:
+            assert iv.width().as_fraction() <= Fraction(1, 2 ** (bits + 2)), (t, k)
