@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import log10, prod
+from math import prod
 
 from .arith import Factorization, render
 from .bounds import (
@@ -27,6 +27,7 @@ from .bounds import (
     prime_sum_lower_bound,
     refined_reciprocal_rhs,
 )
+from .interval import decimal_digits, digit_string
 
 _LOG_SCALES = (16, 64, 256, 1024, 4096)
 _MATERIALIZE_BITS = 1 << 21
@@ -90,19 +91,20 @@ def explain(report: ConstraintReport) -> str:
 def _fmt_int(x: int, max_digits: int = 40) -> str:
     """x >= 0 in full up to max_digits digits, else its 16 leading digits.
 
-    A long x is never passed to str(), which refuses integers above 4300
-    digits: the digit count comes from the bit length, corrected exactly
-    against powers of ten, and the leading digits from one division.
+    A long x is never rendered in full: its digits are counted and the
+    leading ones taken by one division.
     """
     if x < 10**max_digits:
         return str(x)
-    digits = int((x.bit_length() - 1) * log10(2)) + 1
-    while 10**digits <= x:
-        digits += 1
-    while 10 ** (digits - 1) > x:
-        digits -= 1
+    digits = decimal_digits(x)
     lead = str(x // 10 ** (digits - 16))
     return f"{lead[0]}.{lead[1:]}e{digits - 1} ({digits} digits)"
+
+
+def _fmt_fraction(q: Fraction) -> str:
+    """str(q), in full digits at any length."""
+    s = ("-" if q < 0 else "") + digit_string(abs(q.numerator))
+    return s if q.denominator == 1 else f"{s}/{digit_string(q.denominator)}"
 
 
 def _log2_bounds(pairs, scale: int) -> tuple[Fraction, Fraction]:
@@ -350,11 +352,12 @@ def audit(
     )
 
     recip = sum(Fraction(1, p) for p in primes)
+    recip_s = _fmt_fraction(recip)
     verdicts.append(
         _check(
             "reciprocal_sum",
             recip < 1,
-            f"sum(1/p) = {recip} {'<' if recip < 1 else '>='} 1",
+            f"sum(1/p) = {recip_s} {'<' if recip < 1 else '>='} 1",
         )
     )
 
@@ -363,7 +366,7 @@ def audit(
         _check(
             "reciprocal_sum_refined",
             recip < rhs,
-            f"sum(1/p) = {recip} {'<' if recip < rhs else '>='} refined ceiling {rhs}",
+            f"sum(1/p) = {recip_s} {'<' if recip < rhs else '>='} refined ceiling {_fmt_fraction(rhs)}",
         )
     )
 

@@ -138,9 +138,6 @@ class Dyadic:
 
     __rmul__ = __mul__
 
-    def halved(self) -> "Dyadic":
-        return Dyadic(self.mant, self.exp - 1)
-
 
 ONE = Dyadic(1)
 
@@ -194,19 +191,33 @@ def decimal_exponent(x: Fraction) -> int:
     return e
 
 
-def _digit_string(q: int, digits: int) -> str:
-    """The decimal digits of 0 <= q < 10**digits, zero-padded to `digits`.
+def decimal_digits(x: int) -> int:
+    """Number of decimal digits of x >= 1, counted without str(): estimated
+    from the bit length, then corrected exactly against powers of ten."""
+    digits = int((x.bit_length() - 1) * math.log10(2)) + 1
+    while 10**digits <= x:
+        digits += 1
+    while 10 ** (digits - 1) > x:
+        digits -= 1
+    return digits
 
-    str() refuses integers longer than sys.get_int_max_str_digits() (4300
-    digits by default), so a longer q is split at a power of ten and its
-    halves are rendered apart.  (Pythons without the limit have no getter.)
+
+def digit_string(x: int, width: int = 0) -> str:
+    """The decimal digits of x >= 0, zero-padded to `width`, at any length.
+
+    Below sys.get_int_max_str_digits() (4300 digits by default) this is
+    str(x); str() refuses a longer x, so that one is split at a power of
+    ten and its halves are rendered apart.  (Pythons without the limit have
+    no getter.)
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit == 0 or digits <= limit:
-        return str(q).zfill(digits)
+    # 2**3.32 < 10, so x < 2**(3.32 * limit) has at most `limit` digits
+    if limit == 0 or x.bit_length() <= 3.32 * limit:
+        return str(x).zfill(width)
+    digits = max(width, decimal_digits(x))
     low = digits // 2
-    high, rest = divmod(q, 10**low)
-    return _digit_string(high, digits - low) + _digit_string(rest, low)
+    high, rest = divmod(x, 10**low)
+    return digit_string(high, digits - low) + digit_string(rest, low)
 
 
 def to_decimal(d: Dyadic, digits: int, up: bool) -> str:
@@ -235,7 +246,7 @@ def to_decimal(d: Dyadic, digits: int, up: bool) -> str:
     if q >= 10**digits:
         q //= 10
         e10 += 1
-    s = _digit_string(q, digits)
+    s = digit_string(q, digits)
     if digits == 1:
         return f"{s}e{e10}"
     return f"{s[0]}.{s[1:]}e{e10}"
@@ -267,17 +278,11 @@ class Interval:
     def width(self) -> Dyadic:
         return self.hi - self.lo
 
-    def midpoint(self) -> Dyadic:
-        return (self.lo + self.hi).halved()
-
     def contains(self, x) -> bool:
         if isinstance(x, Dyadic):
             return self.lo <= x <= self.hi
         x = Fraction(x)
         return self.lo.cmp_fraction(x) <= 0 <= self.hi.cmp_fraction(x)
-
-    def overlaps(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def scale_int(self, k: int) -> "Interval":
         """Exact multiplication by a nonnegative integer."""

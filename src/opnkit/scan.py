@@ -1,10 +1,15 @@
 """Exhaustive desk-scale range scans with deterministic parallel merge.
 
 Scans partition [lo, hi] into fixed-size blocks.  Workers sieve contiguous
-runs of blocks with numpy divisor-pair kernels and report per-block
-findings; the driver merges them in block order, so the result is
-byte-identical for any worker count.  A checkpoint file (one JSON line per
-completed block) lets an interrupted scan resume without rework.
+runs of blocks with one numpy divisor-pair kernel, at stride 1 for every n
+or stride 2 for odd n only (a parity=odd perfect scan and the radical-chain
+scan sieve no even n), and report per-block findings; the main process merges
+them in block order, so the result is byte-identical for any worker count.
+A checkpoint file (one JSON line per completed block) lets an interrupted
+scan resume without rework.  `hi` is capped at PERFECT_HI_MAX = 10**12 for
+perfect scans and RADICAL_CHAIN_HI_MAX = 10**9 for radical-chain scans,
+and one scan covers at most MAX_SPAN = 10**9 numbers; beyond these the
+scan raises ValueError.
 
 numpy is imported inside the kernels that use it, not at module level, so
 importing this module (and with it `opnkit`, the audit and the suites)
@@ -17,7 +22,9 @@ import json
 import math
 import time
 from array import array
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .primes import primes_up_to
@@ -26,7 +33,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 BLOCK_SIZE_DEFAULT = 1 << 16
-MAX_SPAN_DEFAULT = 10**9
+MAX_SPAN = 10**9  # most numbers one scan may cover
+PERFECT_HI_MAX = 10**12  # sieve cost per segment grows with sqrt(hi); see scan_perfect
 RADICAL_CHAIN_HI_MAX = 10**9  # int64 cross-products stay exact up to here
 _SEGMENT_ELEMS = 1 << 21  # sieve granularity: blocks are batched up to this size
 
@@ -57,62 +65,61 @@ class ScanReport:
 
 
 def sigma_segment(a: int, b: int) -> np.ndarray:
-    """Divisor sums sigma(n) for every n in [a, b] (a >= 1), as int64.
+    """Divisor sums sigma(n) for every n in [a, b] (a >= 1), as int64."""
+    return _divisor_sums(a, b, 1)
 
-    Vectorized divisor-pair sieve: each d <= sqrt(b) contributes d + n/d to
-    its multiples, with the square root counted once.
+
+def _first_quotient(a: int, d: int, step: int) -> int:
+    """Least q with d*q >= a that a stride-`step` run from a reaches: d*q = a
+    (mod step).  At step 2, a and d are odd, so q is the first odd one."""
+    q = -(-a // d)
+    if (d * q - a) % step:
+        q += 1
+    return q
+
+
+def _divisor_sums(a: int, b: int, step: int) -> np.ndarray:
+    """sigma(n) for n = a, a + step, ... <= b, as int64, indexed by (n - a) // step.
+
+    Step 1 covers every n >= 1; step 2 covers the odd n from an odd a, whose
+    divisors are all odd.  Divisor-pair sieve: each d <= sqrt(b) (odd d only
+    at step 2) contributes d + n/d to its multiples n = d*q with q >= d, with
+    the square root counted once.
     """
     import numpy as np
 
-    sig = np.zeros(b - a + 1, dtype=np.int64)
-    for d in range(1, math.isqrt(b) + 1):
-        q0 = max(d, -(-a // d))
+    sig = np.zeros((b - a) // step + 1, dtype=np.int64)
+    for d in range(1, math.isqrt(b) + 1, step):
+        q0 = max(d, _first_quotient(a, d, step))
         q1 = b // d
         if q0 > q1:
             continue
-        qs = np.arange(q0, q1 + 1, dtype=np.int64)
-        start = d * q0 - a
-        sig[start : start + (q1 - q0) * d + 1 : d] += d + qs
-        if q0 <= d <= q1:
-            sig[d * d - a] -= d
-    return sig
-
-
-def _sigma_segment_odd(a: int, b: int) -> np.ndarray:
-    """sigma(n) for odd n in [a, b] (a odd), indexed by (n - a) // 2."""
-    import numpy as np
-
-    sig = np.zeros((b - a) // 2 + 1, dtype=np.int64)
-    for d in range(1, math.isqrt(b) + 1, 2):
-        q0 = max(d, -(-a // d))
-        if q0 % 2 == 0:
-            q0 += 1
-        q1 = b // d
-        if q0 > q1:
-            continue
-        qs = np.arange(q0, q1 + 1, 2, dtype=np.int64)
-        start = (d * q0 - a) // 2
+        qs = np.arange(q0, q1 + 1, step, dtype=np.int64)
+        start = (d * q0 - a) // step
         sig[start : start + (len(qs) - 1) * d + 1 : d] += d + qs
-        if q0 <= d <= q1:
-            sig[(d * d - a) // 2] -= d
+        if q0 == d:
+            sig[(d * d - a) // step] -= d
     return sig
 
 
-def _odd_multiple_slices(a: int, b: int, step: int):
-    """First odd multiple of `step` in [a, b] (a odd), or None."""
-    k0 = -(-a // step)
-    if k0 % 2 == 0:
-        k0 += 1
-    m0 = k0 * step
-    return m0 if m0 <= b else None
-
-
-def _perfect_hits(a: int, b: int) -> list[int]:
+def _perfect_hits(a: int, b: int, parity: str) -> list[tuple[int, str]]:
+    """Perfect numbers of the given parity in [a, b]; odd ones are sieved
+    at step 2, so a parity=odd scan never computes sigma of an even n."""
     import numpy as np
 
-    sig = sigma_segment(a, b)
-    ns = np.arange(a, b + 1, dtype=np.int64)
-    return [int(n) for n in ns[sig == 2 * ns]]
+    if parity == "odd":
+        a |= 1
+        if a > b:
+            return []
+        sig = _divisor_sums(a, b, 2)
+        ns = np.arange(a, b + 1, 2, dtype=np.int64)
+    else:
+        sig = sigma_segment(a, b)
+        ns = np.arange(a, b + 1, dtype=np.int64)
+    hit = sig == 2 * ns
+    if parity == "even":
+        hit &= ns % 2 == 0
+    return [(n, f"perfect number: sigma({n}) = {2 * n}") for n in map(int, ns[hit])]
 
 
 def _radical_chain_hits(a: int, b: int) -> list[tuple[int, str]]:
@@ -129,8 +136,7 @@ def _radical_chain_hits(a: int, b: int) -> list[tuple[int, str]]:
     """
     import numpy as np
 
-    if a % 2 == 0:
-        a += 1
+    a |= 1
     if a > b:
         return []
     ns = np.arange(a, b + 1, 2, dtype=np.int64)
@@ -140,23 +146,20 @@ def _radical_chain_hits(a: int, b: int) -> list[tuple[int, str]]:
     for p in primes_up_to(math.isqrt(b)):
         if p == 2:
             continue
-        m0 = _odd_multiple_slices(a, b, p)
-        if m0 is None:
+        i0 = (_first_quotient(a, p, 2) * p - a) // 2
+        if i0 >= len(ns):
             continue
-        i0 = (m0 - a) // 2
         srad[i0::p] *= p
         sigrad[i0::p] *= p + 1
         pk = p
         while pk <= b:
-            mk = _odd_multiple_slices(a, b, pk)
-            if mk is not None:
-                spart[(mk - a) // 2 :: pk] *= p
+            spart[(_first_quotient(a, pk, 2) * pk - a) // 2 :: pk] *= p
             pk *= p
     large = ns // spart
     big = large > 1
     rad = srad * np.where(big, large, 1)
     sigrad = sigrad * np.where(big, large + 1, 1)
-    sig = _sigma_segment_odd(a, b)
+    sig = _divisor_sums(a, b, 2)
     lhs = sigrad * ns  # sigma(rad) * n
     rhs = sig * rad  # sigma(n) * rad
     squarefree = spart == srad
@@ -201,37 +204,29 @@ def factor_odd_with_spf(n: int, spf: array) -> list[tuple[int, int]]:
 
 
 def _scan_segment(task) -> list[tuple[int, list[tuple[int, str]]]]:
-    kind, seg_lo, seg_hi, lo, block_size, parity = task
-    if kind == "perfect":
-        found = []
-        for n in _perfect_hits(seg_lo, seg_hi):
-            if parity == "odd" and n % 2 == 0:
-                continue
-            if parity == "even" and n % 2 == 1:
-                continue
-            found.append((n, f"perfect number: sigma({n}) = {2 * n}"))
-    elif kind == "radical_chain":
-        found = _radical_chain_hits(seg_lo, seg_hi)
-    else:
-        raise ValueError(f"unknown scan kind {kind!r}")
+    hits, seg_lo, seg_hi, lo, block_size = task
     per_block: dict[int, list[tuple[int, str]]] = {}
-    for n, detail in found:
+    for n, detail in hits(seg_lo, seg_hi):
         per_block.setdefault((n - lo) // block_size, []).append((n, detail))
     first = (seg_lo - lo) // block_size
     last = (seg_hi - lo) // block_size
     return [(i, per_block.get(i, [])) for i in range(first, last + 1)]
 
 
-def _read_checkpoint(path, nblocks: int) -> dict[int, list[tuple[int, str]]]:
+def _read_checkpoint(path, nblocks: int) -> tuple[dict[int, list[tuple[int, str]]], int]:
+    """The completed blocks of a checkpoint file, and the byte length of its
+    whole records.  A record is a newline-terminated line; what follows the
+    last newline is a line torn by an interrupted run and is not read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
-        return {}
+        return {}, 0
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
+    whole = data.rfind(b"\n") + 1
     completed: dict[int, list[tuple[int, str]]] = {}
-    for lineno, line in enumerate(lines):
+    for lineno, line in enumerate(data[:whole].splitlines()):
         if not line.strip():
             continue
         try:
@@ -241,11 +236,9 @@ def _read_checkpoint(path, nblocks: int) -> dict[int, list[tuple[int, str]]]:
             if not isinstance(idx, int) or not 0 <= idx < nblocks:
                 raise ValueError(f"block index {idx} out of range")
         except (ValueError, KeyError, TypeError) as exc:
-            if lineno == len(lines) - 1:
-                break  # tolerate one torn trailing line from an interrupted run
             raise CheckpointError(f"bad checkpoint line {lineno + 1}: {exc}") from exc
         completed[idx] = viols
-    return completed
+    return completed, whole
 
 
 def _count_parity(lo: int, hi: int, parity: str) -> int:
@@ -256,19 +249,16 @@ def _count_parity(lo: int, hi: int, parity: str) -> int:
 
 
 def _run_scan(
-    kind: str,
-    lo: int,
-    hi: int,
-    parity: str,
-    jobs: int,
-    block_size: int,
-    checkpoint,
-    max_span: int,
+    hits, hi_max: int, lo: int, hi: int, parity: str, jobs: int, block_size: int, checkpoint
 ) -> ScanReport:
+    """Scan [lo, hi] with `hits(a, b)`, which returns the (n, detail) findings
+    of one segment; `parity` is the parity of the n it tests."""
     if not 1 < lo <= hi:
         raise ValueError("need 1 < lo <= hi")
-    if hi - lo + 1 > max_span:
-        raise ValueError(f"range exceeds the configured maximum span {max_span}")
+    if hi > hi_max:
+        raise ValueError(f"hi exceeds this scan's ceiling of {hi_max}")
+    if hi - lo + 1 > MAX_SPAN:
+        raise ValueError(f"range exceeds the maximum span {MAX_SPAN}")
     if parity not in PARITIES:
         raise ValueError(f"parity must be one of {PARITIES}")
     if jobs < 1:
@@ -277,7 +267,7 @@ def _run_scan(
         raise ValueError("block_size must be >= 1")
     t0 = time.perf_counter()
     nblocks = (hi - lo) // block_size + 1
-    completed = _read_checkpoint(checkpoint, nblocks) if checkpoint else {}
+    completed, whole = _read_checkpoint(checkpoint, nblocks) if checkpoint else ({}, 0)
 
     # batch pending contiguous blocks into sieve segments
     seg_blocks = max(1, _SEGMENT_ELEMS // block_size)
@@ -285,7 +275,7 @@ def _run_scan(
     def as_task(blocks: list[int]):
         seg_lo = lo + blocks[0] * block_size
         seg_hi = min(lo + (blocks[-1] + 1) * block_size - 1, hi)
-        return (kind, seg_lo, seg_hi, lo, block_size, parity)
+        return (hits, seg_lo, seg_hi, lo, block_size)
 
     tasks = []
     run: list[int] = []
@@ -298,40 +288,35 @@ def _run_scan(
         run.append(i)
     if run:
         tasks.append(as_task(run))
-    ckpt_fh = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
-    try:
+    with ExitStack() as stack:
+        ckpt_fh = None
+        if checkpoint:
+            ckpt_fh = stack.enter_context(open(checkpoint, "a", encoding="utf-8"))
+            ckpt_fh.truncate(whole)  # drop a torn last line before appending
         if jobs == 1 or len(tasks) <= 1:
             results = map(_scan_segment, tasks)
-            for seg in results:
-                _absorb(seg, completed, ckpt_fh)
         else:
             from multiprocessing import Pool
 
-            with Pool(processes=jobs) as pool:
-                for seg in pool.imap_unordered(_scan_segment, tasks):
-                    _absorb(seg, completed, ckpt_fh)
-    finally:
-        if ckpt_fh:
-            ckpt_fh.close()
+            pool = stack.enter_context(Pool(processes=jobs))
+            results = pool.imap_unordered(_scan_segment, tasks)
+        for seg in results:
+            for idx, viols in seg:
+                completed[idx] = viols
+                if ckpt_fh:
+                    ckpt_fh.write(json.dumps({"block": idx, "violations": viols}) + "\n")
+            if ckpt_fh:
+                ckpt_fh.flush()
     violations = tuple(
         (n, d) for i in range(nblocks) for n, d in sorted(completed.get(i, []))
     )
     return ScanReport(
         range_lo=lo,
         range_hi=hi,
-        tested_count=_count_parity(lo, hi, "odd" if kind == "radical_chain" else parity),
+        tested_count=_count_parity(lo, hi, parity),
         violations=violations,
         elapsed_seconds=time.perf_counter() - t0,
     )
-
-
-def _absorb(segment_result, completed, ckpt_fh) -> None:
-    for idx, viols in segment_result:
-        completed[idx] = viols
-        if ckpt_fh:
-            ckpt_fh.write(json.dumps({"block": idx, "violations": viols}) + "\n")
-    if ckpt_fh:
-        ckpt_fh.flush()
 
 
 def scan_perfect(
@@ -342,15 +327,19 @@ def scan_perfect(
     jobs: int = 1,
     block_size: int = BLOCK_SIZE_DEFAULT,
     checkpoint=None,
-    max_span: int = MAX_SPAN_DEFAULT,
 ) -> ScanReport:
     """Find every perfect number in [lo, hi] with the requested parity.
 
     The report's `violations` are the perfect numbers found.  Results are
     identical for any `jobs` value; `checkpoint` names a JSON-lines file of
-    completed blocks for resumable scans.
+    completed blocks for resumable scans.  `hi` may not exceed
+    PERFECT_HI_MAX = 10**12.  int64 is exact far beyond it: sigma(n) <=
+    n*(1 + ln n) < 3e13 there.  The ceiling bounds the cost: the sieve loops
+    over every divisor d <= sqrt(hi) in Python for each segment, 10**6
+    iterations at the ceiling.
     """
-    return _run_scan("perfect", lo, hi, parity, jobs, block_size, checkpoint, max_span)
+    hits = partial(_perfect_hits, parity=parity)
+    return _run_scan(hits, PERFECT_HI_MAX, lo, hi, parity, jobs, block_size, checkpoint)
 
 
 def scan_radical_chain(
@@ -360,14 +349,9 @@ def scan_radical_chain(
     jobs: int = 1,
     block_size: int = BLOCK_SIZE_DEFAULT,
     checkpoint=None,
-    max_span: int = MAX_SPAN_DEFAULT,
 ) -> ScanReport:
     """Verify, for every odd n in [lo, hi], that n's abundancy strictly
     exceeds its radical's when n is not squarefree (with equality when it
     is).  Violations would disprove the exponent-raising chain argument;
     none are expected, ever.  `hi` may not exceed RADICAL_CHAIN_HI_MAX."""
-    if hi > RADICAL_CHAIN_HI_MAX:
-        raise ValueError(
-            f"hi must be <= {RADICAL_CHAIN_HI_MAX} for a radical-chain scan (int64 ceiling)"
-        )
-    return _run_scan("radical_chain", lo, hi, "odd", jobs, block_size, checkpoint, max_span)
+    return _run_scan(_radical_chain_hits, RADICAL_CHAIN_HI_MAX, lo, hi, "odd", jobs, block_size, checkpoint)

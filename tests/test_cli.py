@@ -5,6 +5,8 @@ import pytest
 
 from opnkit import scan
 from opnkit.cli import main
+from opnkit.primes import primes_up_to
+from opnkit.scan import MAX_SPAN, PERFECT_HI_MAX
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -89,6 +91,17 @@ def test_check_beyond_str_digit_limit(capsys):
     assert code == 1
     assert "(4776 digits)" in out and out.endswith("overall: Refuted\n")
     assert err == ""
+
+
+def test_check_reciprocal_sums_beyond_str_digit_limit(capsys):
+    # sum(1/p) over the first 2000 odd primes has a 7487-digit denominator
+    primes = primes_up_to(20_000)[1:2001]
+    text = "*".join(f"{p}^2" for p in primes[:-1]) + f"*{primes[-1]}"
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "check", text, "--format", fmt)
+        assert code == 1
+        assert err == ""
+    assert json.loads(out)["overall"] == "Refuted"
 
 
 def test_check_json_roundtrip(capsys):
@@ -214,6 +227,16 @@ def test_scan_invalid_range(capsys):
     code, _, err = run(capsys, "scan", "--lo", "10", "--hi", "2", "--jobs", "1")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lo", str(PERFECT_HI_MAX - 10), "--hi", str(PERFECT_HI_MAX + 1)],  # above the hi ceiling
+    ["--lo", "2", "--hi", str(MAX_SPAN + 2)],  # longer than the span limit
+])
+def test_scan_beyond_limits_exits_2(capsys, argv):
+    code, out, err = run(capsys, "scan", "--jobs", "1", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
 
 
 def test_scan_bad_checkpoint(tmp_path, capsys):

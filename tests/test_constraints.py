@@ -2,12 +2,13 @@ import contextlib
 import json
 import random
 import sys
+from fractions import Fraction
 from math import prod
 
 import pytest
 
 from opnkit.arith import Factorization, factorize, parse_factorization
-from opnkit.bounds import Ordering3, radical_lower_bound
+from opnkit.bounds import Ordering3, radical_lower_bound, refined_reciprocal_rhs
 from opnkit.constraints import (
     ConstraintReport,
     Overall,
@@ -352,6 +353,22 @@ def test_fmt_int_matches_str_rendering():
         values += [10**k - 1, 10**k, 10**k + 1]
     for x in values:
         assert _fmt_int(x) == fmt_int_via_str(x), x
+
+
+def test_reciprocal_sums_beyond_str_digit_limit():
+    # the first 2000 odd primes, the last to the first power: sum(1/p) has
+    # the radical as its denominator, the refined ceiling P^2000
+    primes = primes_up_to(20_000)[1:2001]
+    f = Factorization(tuple((p, 2) for p in primes[:-1]) + ((primes[-1], 1),))
+    report = audit(f)
+    assert report.overall is Overall.REFUTED
+    v = by_id(report)
+    recip = sum(Fraction(1, p) for p in primes)
+    rhs = refined_reciprocal_rhs(2000, primes[-1])
+    assert 0 < rhs < 1 < recip
+    with unlimited_int_str():
+        assert v["reciprocal_sum"].detail == f"sum(1/p) = {recip} >= 1"
+        assert v["reciprocal_sum_refined"].detail == f"sum(1/p) = {recip} >= refined ceiling {rhs}"
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from opnkit.interval import (
     Interval,
     _round_mant,
     decimal_exponent,
+    digit_string,
     div_dir,
     fraction_to_dyadic,
     nth_root_enclosure,
@@ -34,7 +35,7 @@ def test_dyadic_arithmetic_exact():
     assert (a * b).as_fraction() == Fraction(15, 8)
     assert (a * 4).as_fraction() == 6
     assert (-a).as_fraction() == Fraction(-3, 2)
-    assert a.halved().as_fraction() == Fraction(3, 4)
+    assert (a * Dyadic(1, -1)).as_fraction() == Fraction(3, 4)
 
 
 def test_dyadic_ordering():
@@ -86,7 +87,7 @@ def test_interval_invariants():
     assert iv.contains(Fraction(3, 2))
     assert not iv.contains(3)
     assert iv.width() == Dyadic(1)
-    assert iv.midpoint().as_fraction() == Fraction(3, 2)
+    assert (iv.lo.as_fraction() + iv.hi.as_fraction()) / 2 == Fraction(3, 2)
 
 
 def test_interval_ops_preserve_enclosure():
@@ -220,6 +221,17 @@ def test_to_decimal_beyond_str_digit_limit():
     assert want[cases.index((values[0], 4301, True))] == "1." + "0" * 4299 + "1e4999"
 
 
+def test_digit_string_matches_str():
+    # width 0 and a wide zero padding, around the limit and far past it
+    rng = random.Random(640)
+    values = [10**k + j for k in (1, 639, 640, 641, 2000, 9000) for j in (-1, 0, 1)]
+    values += [rng.getrandbits(rng.randint(1, 40000)) for _ in range(100)]
+    with int_str_limit(640):
+        got = [(digit_string(x), digit_string(x, 9100)) for x in values]
+    with int_str_limit(0):
+        assert got == [(str(x), str(x).zfill(9100)) for x in values]
+
+
 # --- the certified root kernel ------------------------------------------------------
 
 
@@ -333,3 +345,4 @@ def test_root_enclosure_against_mpmath(bits):
         assert iv.lo.as_fraction() <= root <= iv.hi.as_fraction(), (t, k)
         if 1 < t < 2**k:
             assert iv.width().as_fraction() <= Fraction(1, 2 ** (bits + 2)), (t, k)
+

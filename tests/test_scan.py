@@ -1,12 +1,21 @@
 import json
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opnkit import scan
+from opnkit.arith import factorize, sigma
 from opnkit.scan import (
+    MAX_SPAN,
+    PERFECT_HI_MAX,
     RADICAL_CHAIN_HI_MAX,
     CheckpointError,
     _count_parity,
+    _divisor_sums,
     factor_odd_with_spf,
     scan_perfect,
     scan_radical_chain,
@@ -31,6 +40,32 @@ def test_sigma_segment_offset_window():
     seg = sigma_segment(a, b)
     for n in (99991, 100000, 100003, 100123):
         assert seg[n - a] == sigma_brute(n)
+
+
+@pytest.mark.parametrize("a, b", [
+    (1, 1), (2, 2), (9, 9), (25, 25),  # a == b, squares at both ends
+    (1, 400), (2, 401), (3, 300), (4, 300),  # odd and even a
+    (20, 30), (47, 51), (119, 123), (167, 171), (8, 10),  # straddle 25, 49, 121, 169, 9
+])
+@pytest.mark.parametrize("step", [1, 2])
+def test_divisor_sums_matches_brute(a, b, step):
+    if step == 2 and a % 2 == 0:
+        a += 1  # the odd-only kernel starts from an odd a
+        if a > b:
+            return
+    got = _divisor_sums(a, b, step)
+    ns = range(a, b + 1, step)
+    assert len(got) == len(ns)
+    assert [int(v) for v in got] == [sigma_brute(n) for n in ns]
+
+
+def test_divisor_sums_near_1e9():
+    a, b = 10**9 - 4001, 10**9  # both odd ends, so step 2 covers the odd n
+    rng = random.Random(9)
+    every, odd = _divisor_sums(a, b, 1), _divisor_sums(a, b, 2)
+    assert list(every[::2]) == list(odd)
+    for n in [a, b - 1, b] + rng.sample(range(a, b + 1), 60):
+        assert every[n - a] == sigma(factorize(n)), n
 
 
 def test_spf_sieve_factors():
@@ -88,6 +123,58 @@ def test_scan_perfect_parity():
     assert [n for n, _ in even.violations] == [6, 28, 496, 8128]
 
 
+@pytest.mark.parametrize("lo, hi", [(2, 5000), (3, 4999), (1001, 1001), (1002, 1002)])
+def test_parity_routing_visits_each_n_once(monkeypatch, lo, hi):
+    # a kernel that makes every n look perfect: each n of the parity must be
+    # reported once, and odd scans must sieve at stride 2 only
+    steps = []
+
+    def every_n_perfect(a, b, step=1):
+        steps.append(step)
+        return 2 * np.arange(a, b + 1, step, dtype=np.int64)
+
+    monkeypatch.setattr(scan, "_divisor_sums", every_n_perfect)
+    monkeypatch.setattr(scan, "sigma_segment", every_n_perfect)
+    for parity, first, stride in (("all", lo, 1), ("odd", lo | 1, 2), ("even", lo + lo % 2, 2)):
+        steps.clear()
+        rep = scan_perfect(lo, hi, parity, block_size=777)
+        assert [n for n, _ in rep.violations] == list(range(first, hi + 1, stride))
+        assert set(steps) <= ({2} if parity == "odd" else {1})
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(2, 2 * 10**4).flatmap(lambda hi: st.tuples(st.integers(2, hi), st.just(hi))),
+    st.integers(1, 5000),
+)
+def test_parity_reports_filter_the_all_report(span, block_size):
+    lo, hi = span
+    every = scan_perfect(lo, hi, block_size=block_size)
+    for parity, rem in (("odd", 1), ("even", 0)):
+        rep = scan_perfect(lo, hi, parity, block_size=block_size)
+        assert rep.violations == tuple(v for v in every.violations if v[0] % 2 == rem)
+        assert rep.tested_count == _count_parity(lo, hi, parity)
+
+
+def test_perfect_scan_at_ceiling():
+    # int64 is exact here by a wide margin; sigma(n) < n(1 + ln n) < 3e13
+    lo, hi = PERFECT_HI_MAX - 99, PERFECT_HI_MAX  # lo is odd
+    every = sigma_segment(lo, hi)
+    assert list(_divisor_sums(lo, hi, 2)) == list(every[::2])
+    for n in random.Random(12).sample(range(lo, hi + 1), 12) + [lo, hi]:
+        assert every[n - lo] == sigma(factorize(n)), n
+    rep = scan_perfect(lo, hi, "odd")
+    assert rep.violations == ()
+    assert rep.tested_count == 50
+
+
+def test_perfect_scan_rejects_hi_above_ceiling():
+    with pytest.raises(ValueError):
+        scan_perfect(PERFECT_HI_MAX - 10, PERFECT_HI_MAX + 1)
+    with pytest.raises(ValueError):
+        scan_perfect(4 * 10**18, 4 * 10**18 + 100)
+
+
 def test_scan_validation():
     with pytest.raises(ValueError):
         scan_perfect(1, 10)
@@ -96,7 +183,7 @@ def test_scan_validation():
     with pytest.raises(ValueError):
         scan_perfect(2, 10, "weird")
     with pytest.raises(ValueError):
-        scan_perfect(2, 10**7, max_span=10**6)
+        scan_perfect(2, MAX_SPAN + 2)
     with pytest.raises(ValueError):
         scan_perfect(2, 10, jobs=0)
 
@@ -154,6 +241,11 @@ def test_checkpoint_resume(tmp_path):
     resumed = scan_perfect(2, 10**5, block_size=4096, checkpoint=str(ck))
     assert resumed.violations == full.violations
     assert resumed.tested_count == full.tested_count
+    # the torn line is cut off before appending, so a second resume reads
+    # the file the first one left, and that file holds whole records only
+    assert sorted(ck.read_text().splitlines()) == sorted(lines)
+    again = scan_perfect(2, 10**5, block_size=4096, checkpoint=str(ck))
+    assert again.violations == full.violations
 
 
 def test_checkpoint_interior_corruption(tmp_path):
