@@ -9,6 +9,7 @@ and `fractions.Fraction`; nothing here ever rounds.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -98,10 +99,13 @@ def parse_factorization(text: str) -> Factorization:
     Repeated primes are merged by summing exponents.  The single token "1"
     (with no exponent and no other terms) denotes the empty factorization;
     0 or 1 appearing as one factor among several is rejected, as is any
-    composite factor.
+    composite factor.  A number longer than sys.get_int_max_str_digits()
+    is a ParseError: that limit is not lifted.
     """
     terms: list[tuple[int, int | None, int]] = []  # (value, exponent, position)
     i, n = 0, len(text)
+    # 0 means no limit, as on Pythons without the getter
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
     def skip_ws(j: int) -> int:
         while j < n and text[j] in " \t":
@@ -115,6 +119,9 @@ def parse_factorization(text: str) -> Factorization:
             j += 1
         if j == start:
             raise ParseError(f"expected {what}", start)
+        if 0 < digit_limit < j - start:
+            # int() refuses it: the interpreter's guard against quadratic parsing
+            raise ParseError(f"{what} has more than {digit_limit} digits", start)
         return int(text[start:j]), j
 
     while True:

@@ -1,8 +1,11 @@
 """Property checks for the abundancy and symmetric-sum inequalities, plus
 seeded randomized and exhaustive verification suites.
 
-Every rational comparison here is exact; every irrational one goes through
-certified interval refinement.  The checks are phrased so that each one is
+Every comparison here is exact, with one exception: the `bounds` suite
+compares against the irrational lower bounds of `opnkit.bounds`, which goes
+through certified interval refinement under a precision cap.  The GM-HM
+steps, though they involve an r-th root, are raised to the r-th power and
+decided in integers.  The checks are phrased so that each one is
 a falsifiable statement about arbitrary odd integers or odd prime sets:
 a single `False` from any of them would be a genuine counterexample.
 """
@@ -14,21 +17,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
 
-from .arith import Factorization, elementary_symmetric, render
+from .arith import Factorization, elementary_symmetric, render, sigma, value
 from .bounds import (
     DEFAULT_PRECISION_CAP_BITS,
-    DEFAULT_START_BITS,
     Ordering3,
     PrecisionExhaustedError,
     compare_rational_to_bound,
-    decide,
     refined_reciprocal_rhs,
 )
-from .interval import nth_root_enclosure
 from .primes import is_prime, primes_up_to
 from .scan import factor_odd_with_spf, spf_sieve_odd
-
-GMHM_PRECISION_CAP_BITS = 1 << 16
 
 SUITES = ("lift", "chain", "gmhm", "bounds", "recip", "recip-refined")
 
@@ -73,14 +71,6 @@ def random_prime_set(
     return PrimeSet._from_checked(tuple(sorted(rng.sample(pool, r))))
 
 
-def _sigma_value(pairs) -> tuple[int, int]:
-    s = v = 1
-    for p, e in pairs:
-        v *= p**e
-        s *= (p ** (e + 1) - 1) // (p - 1)
-    return s, v
-
-
 def check_exponent_lift(b: Factorization, prime_index: int, n: int) -> bool:
     """Raising a unit exponent to n >= 2 must strictly raise the abundancy.
 
@@ -97,9 +87,8 @@ def check_exponent_lift(b: Factorization, prime_index: int, n: int) -> bool:
         raise ValueError("the lifted exponent must be >= 2")
     lifted = list(b.pairs)
     lifted[prime_index] = (p, n)
-    s_b, v_b = _sigma_value(b.pairs)
-    s_c, v_c = _sigma_value(lifted)
-    return s_c * v_b > s_b * v_c
+    c = Factorization._from_checked(lifted)
+    return sigma(c) * value(b) > sigma(b) * value(c)
 
 
 def _verify_chain_pairs(pairs) -> bool:
@@ -125,36 +114,21 @@ def verify_chain(f: Factorization) -> bool:
     return _verify_chain_pairs(f.pairs)
 
 
-def check_gm_hm_step(
-    ps: PrimeSet, k: int, precision_cap_bits: int = GMHM_PRECISION_CAP_BITS
-) -> bool:
+def check_gm_hm_step(ps: PrimeSet, k: int) -> bool:
     """Strict inequality S_k > C(r,k) * radical**(-k/r) for the k-th
     reciprocal symmetric sum of the prime set.
 
-    For k < r the right side is irrational and the comparison is decided by
-    interval refinement; expected True always.  k = r is the exact-equality
-    degenerate case (both sides are 1/radical), so the strict form returns
-    False there.
+    Both sides are positive, so raising them to the r-th power decides the
+    step exactly in integers: with S_k = e_{r-k} / e_r and radical = e_r it
+    reads e_{r-k}**r > C(r,k)**r * e_r**(r-k).  Expected True for k < r.
+    k = r is the exact-equality degenerate case (both sides are 1/radical,
+    and the test reads 1 > 1), so the strict form returns False there.
     """
     r = len(ps)
     if not 1 <= k <= r:
         raise ValueError("need 1 <= k <= r")
     coeffs = elementary_symmetric(ps.primes)
-    s_k = Fraction(coeffs[r - k], coeffs[r])
-    if k == r:
-        return False
-    scale = comb(r, k)
-    root_arg = prod(ps.primes) ** k
-    # C(r,k) / radical**(k/r), via the r-th root of radical**k
-    order, _ = decide(
-        s_k,
-        lambda bits: nth_root_enclosure(root_arg, r, bits).reciprocal().scale_int(scale),
-        DEFAULT_START_BITS,
-        precision_cap_bits,
-    )
-    if order is Ordering3.UNDECIDED:
-        raise PrecisionExhaustedError(f"between S_{k} and its bound at {precision_cap_bits} bits")
-    return order is Ordering3.ABOVE
+    return coeffs[r - k] ** r > comb(r, k) ** r * coeffs[r] ** (r - k)
 
 
 def _radical_abundancy_below_one(primes) -> bool:
@@ -214,11 +188,11 @@ def check_refined_reciprocal_implication(ps: PrimeSet) -> bool:
     largest = primes[-1]
     coeffs = elementary_symmetric(primes)
     sums = [Fraction(coeffs[r - k], coeffs[r]) for k in range(1, r + 1)]
-    correction = (1 + Fraction(1, largest)) ** r - (1 + Fraction(r, largest))
-    if sum(sums[1:], Fraction(0)) < correction:
+    ceiling = refined_reciprocal_rhs(r, largest)
+    if sum(sums[1:], Fraction(0)) < 1 - ceiling:
         return False
     if _radical_abundancy_below_one(primes):
-        if not sums[0] < refined_reciprocal_rhs(r, largest):
+        if not sums[0] < ceiling:
             return False
     return True
 
@@ -260,24 +234,20 @@ def run_verify_suite(
     trials: int = 10_000,
     seed: int = 0,
     limit: int = 100_000,
-    precision_cap_bits: int | None = None,
+    precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS,
     prime_cap: int = 10**4,
     max_size: int = 12,
 ) -> SuiteResult:
     """Run one named verification suite; seeded, deterministic, exhaustive
     where the suite is defined that way (`chain` walks all odd n <= limit).
 
-    `precision_cap_bits` caps every interval refinement; None means the
-    suite's own cap (GMHM_PRECISION_CAP_BITS for `gmhm`,
-    DEFAULT_PRECISION_CAP_BITS otherwise).  A decision the cap leaves open
-    raises PrecisionExhaustedError.
+    `precision_cap_bits` caps the interval refinements of the `bounds`
+    suite, the only one that makes any; a decision the cap leaves open
+    raises PrecisionExhaustedError.  Every other suite, `gmhm` included, is
+    decided exactly in integers and ignores the cap.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    if precision_cap_bits is None:
-        precision_cap_bits = (
-            GMHM_PRECISION_CAP_BITS if suite == "gmhm" else DEFAULT_PRECISION_CAP_BITS
-        )
     rng = random.Random(seed)
     violations: list[str] = []
     checked = 0
@@ -303,7 +273,7 @@ def run_verify_suite(
             if suite == "gmhm":
                 for k in range(1, len(ps)):
                     checked += 1
-                    if not check_gm_hm_step(ps, k, precision_cap_bits):
+                    if not check_gm_hm_step(ps, k):
                         violations.append(f"primes={ps.primes} k={k}")
             elif suite == "bounds":
                 checked += 1

@@ -28,6 +28,7 @@ from .bounds import (
 )
 from .checks import SUITES, run_verify_suite
 from .constraints import Overall, audit, explain
+from .interval import digit_string
 from .scan import BLOCK_SIZE_DEFAULT, CheckpointError, scan_perfect, scan_radical_chain
 
 PRECISION_CAP_ENV = "OPNKIT_PRECISION_CAP"
@@ -36,7 +37,17 @@ _DIGIT_SAFETY_BITS = 8
 
 
 def _dumps(obj) -> str:
-    """Canonical JSON: parsing and re-rendering reproduces identical bytes."""
+    """Canonical JSON: parsing and re-rendering reproduces identical bytes.
+
+    Ints are rendered by `digit_string`, so they print in full past the
+    interpreter's int-to-str digit limit, where json.dumps refuses them.
+    """
+    if isinstance(obj, int) and not isinstance(obj, bool):  # a bool is an int too
+        return ("-" if obj < 0 else "") + digit_string(abs(obj))
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_dumps(obj[k])}" for k in sorted(obj)) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_dumps, obj)) + "]"
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -90,9 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--limit", type=int, default=100_000,
                           help="exhaustive ceiling for the chain suite")
-    p_verify.add_argument("--precision-cap", type=int, default=env_cap,
-                          help="interval refinement cap in bits (default: the suite's own; "
-                               f"env {PRECISION_CAP_ENV})")
+    p_verify.add_argument("--precision-cap", type=int,
+                          default=env_cap or DEFAULT_PRECISION_CAP_BITS,
+                          help="interval refinement cap in bits for the bounds suite "
+                               f"(env {PRECISION_CAP_ENV})")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_scan = sub.add_parser("scan", help="exhaustive scan of a range")
@@ -132,7 +144,7 @@ def _cmd_bounds(args) -> int:
     print(f"radical lower bound:   [{lo_a}, {hi_a}]")
     print(f"prime-sum lower bound: [{lo_b}, {hi_b}]")
     print(f"N lower bound:         [{lo_a}, {hi_a}]")
-    print(f"N upper bound:         2^(4^{report.r}) = 2^{report.n_ub.log2}")
+    print(f"N upper bound:         2^(4^{report.r}) = 2^{digit_string(report.n_ub.log2)}")
     return 0
 
 
@@ -164,7 +176,7 @@ def _cmd_verify(args) -> int:
     if args.trials < 1 or args.limit < 3:
         print("error: --trials must be >= 1 and --limit >= 3", file=sys.stderr)
         return 2
-    if args.precision_cap is not None and args.precision_cap < 1:
+    if args.precision_cap < 1:
         print("error: --precision-cap must be >= 1", file=sys.stderr)
         return 2
     try:
@@ -244,10 +256,11 @@ def _cmd_sk(args) -> int:
         print(_dumps(doc))
         return 0
     for k, s in enumerate(sums, start=1):
-        print(f"S_{k} = {s.numerator}/{s.denominator}")
+        print(f"S_{k} = {digit_string(s.numerator)}/{digit_string(s.denominator)}")
     print(
-        f"identity check: radical*(1 + sum S_k) = {identity_lhs}, "
-        f"prod(1 + p) = {identity_rhs} -> {'ok' if identity_lhs == identity_rhs else 'MISMATCH'}"
+        f"identity check: radical*(1 + sum S_k) = {digit_string(identity_lhs)}, "
+        f"prod(1 + p) = {digit_string(identity_rhs)} -> "
+        f"{'ok' if identity_lhs == identity_rhs else 'MISMATCH'}"
     )
     return 0
 

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from math import prod
 
-from .arith import Factorization, render
+from .arith import Factorization, render, sigma, value
 from .bounds import (
     DEFAULT_PRECISION_CAP_BITS,
     DEFAULT_START_BITS,
@@ -371,8 +371,8 @@ def audit(
     )
 
     if _materialize_bits(pairs) <= int(exact_digit_cap * 3.322):
-        v = prod(p**e for p, e in pairs)
-        s = prod((p ** (e + 1) - 1) // (p - 1) for p, e in pairs)
+        v = value(f)
+        s = sigma(f)
         verdicts.append(
             _check(
                 "perfect_exact",

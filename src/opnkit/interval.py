@@ -271,10 +271,6 @@ class Interval:
         d = v if isinstance(v, Dyadic) else Dyadic(v)
         return cls(d, d, precision_bits)
 
-    @property
-    def _work_bits(self) -> int:
-        return self.precision_bits + 32
-
     def width(self) -> Dyadic:
         return self.hi - self.lo
 
@@ -283,35 +279,6 @@ class Interval:
             return self.lo <= x <= self.hi
         x = Fraction(x)
         return self.lo.cmp_fraction(x) <= 0 <= self.hi.cmp_fraction(x)
-
-    def scale_int(self, k: int) -> "Interval":
-        """Exact multiplication by a nonnegative integer."""
-        if k < 0:
-            raise ValueError("scale_int requires k >= 0")
-        d = Dyadic(k)
-        return Interval(self.lo * d, self.hi * d, self.precision_bits)
-
-    def pow_int(self, n: int) -> "Interval":
-        """[lo**n, hi**n] outward; requires a nonnegative interval."""
-        if self.lo.mant < 0:
-            raise ValueError("pow_int requires a nonnegative interval")
-        w = self._work_bits
-        return Interval(
-            pow_dir(self.lo, n, w, up=False),
-            pow_dir(self.hi, n, w, up=True),
-            self.precision_bits,
-        )
-
-    def reciprocal(self) -> "Interval":
-        """[1/hi, 1/lo] outward; requires a strictly positive interval."""
-        if self.lo.mant <= 0:
-            raise ValueError("reciprocal requires a positive interval")
-        w = self._work_bits
-        return Interval(
-            div_dir(ONE, self.hi, w, up=False),
-            div_dir(ONE, self.lo, w, up=True),
-            self.precision_bits,
-        )
 
     def to_decimal_pair(self, digits: int = 50) -> tuple[str, str]:
         return to_decimal(self.lo, digits, up=False), to_decimal(self.hi, digits, up=True)

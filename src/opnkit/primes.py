@@ -20,12 +20,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 1 << 12
 
-#: Bases used above 2**64: the first DEFAULT_WIDE_ROUNDS primes.  A composite
-#: survives all of them with probability below 4**-DEFAULT_WIDE_ROUNDS.
-DEFAULT_WIDE_ROUNDS = 24
-
-_MAX_WIDE_ROUNDS = 300
-
 
 @lru_cache(maxsize=32)
 def primes_up_to(limit: int) -> tuple[int, ...]:
@@ -39,6 +33,11 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
             start = p * p
             sieve[start :: p] = bytearray(len(range(start, limit + 1, p)))
     return tuple(i for i, flag in enumerate(sieve) if flag)
+
+
+#: Strong-test bases used at or above 2**64: the first 24 primes (89 is the
+#: 24th).  A composite survives all of them with probability below 4**-24.
+_WIDE_BASES = primes_up_to(89)
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -59,12 +58,12 @@ def _strong_probable_prime(n: int, base: int) -> bool:
     return False
 
 
-def is_prime(n: int, wide_rounds: int = DEFAULT_WIDE_ROUNDS) -> bool:
+def is_prime(n: int) -> bool:
     """Primality test, deterministic and exact for all n < 2**64.
 
     At or above 2**64 it becomes a strong probable-prime test whose bases
-    are the first `wide_rounds` primes; raise `wide_rounds` for a stronger
-    (still deterministic, never randomized) check.
+    are the first 24 primes (still deterministic, never randomized): a
+    composite passes it with probability below 4**-24.
     """
     if n < 2:
         return False
@@ -73,10 +72,7 @@ def is_prime(n: int, wide_rounds: int = DEFAULT_WIDE_ROUNDS) -> bool:
             return n == p
     if n < 1 << 64:
         return all(_strong_probable_prime(n, a) for a in _WITNESSES_U64)
-    if not 1 <= wide_rounds <= _MAX_WIDE_ROUNDS:
-        raise ValueError(f"wide_rounds must be in [1, {_MAX_WIDE_ROUNDS}]")
-    bases = primes_up_to(2000)[:wide_rounds]
-    return all(_strong_probable_prime(n, a) for a in bases)
+    return all(_strong_probable_prime(n, a) for a in _WIDE_BASES)
 
 
 def iroot(n: int, k: int) -> int:

@@ -1,12 +1,16 @@
-"""The benchmark's traced mode wraps opnkit functions by name.
+"""The benchmark calls opnkit functions by name.
 
 `perfbench/tracer.py` lists them in TARGETS and `install()` looks each one
 up with a bare getattr, so renaming or deleting one breaks the traced run.
-The tracer is loaded from its file; nothing under perfbench/ is changed.
+`perfbench/worker.py` calls them with keyword arguments, so renaming or
+deleting a keyword breaks every run.  The tracer is loaded from its file
+and the worker is only parsed; nothing under perfbench/ is changed.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -24,3 +28,55 @@ def test_tracer_targets_resolve():
     assert targets
     for modname, attr, _name, _tagger in targets:
         assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
+
+
+WORKER = TRACER.parent / "worker.py"
+# worker.py binds `ok` to the opnkit package and `scan_mod` to opnkit.scan
+WORKER_MODULES = {"ok": "opnkit", "scan_mod": "opnkit.scan"}
+
+
+def _worker_target(node):
+    """(module, attribute) for an `ok.<name>` or `scan_mod.<name>` node, reached
+    as a bare name (`ok.x`) or as an attribute (`self.ok.x`); else None."""
+    if not isinstance(node, ast.Attribute):
+        return None
+    base = node.value
+    base_name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+    if base_name not in WORKER_MODULES:
+        return None
+    return WORKER_MODULES[base_name], node.attr
+
+
+def _worker_calls():
+    """(module, attribute, positional count, keyword names) of every call the
+    worker makes into opnkit, directly or through its `timed(fn, ...)` helper."""
+    for node in ast.walk(ast.parse(WORKER.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        target, args = _worker_target(node.func), node.args
+        if target is None and isinstance(node.func, ast.Name) and node.func.id == "timed" and args:
+            target, args = _worker_target(args[0]), args[1:]
+        if target is not None:
+            yield (*target, len(args), [kw.arg for kw in node.keywords])
+
+
+def test_worker_names_resolve():
+    found = [
+        target
+        for node in ast.walk(ast.parse(WORKER.read_text(encoding="utf-8")))
+        if (target := _worker_target(node)) is not None
+    ]
+    assert {module for module, _ in found} == set(WORKER_MODULES.values())
+    for module, attr in found:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
+
+
+def test_worker_keywords_bind():
+    passed: dict[str, set] = {}
+    for module, attr, n_args, keywords in _worker_calls():
+        fn = getattr(importlib.import_module(module), attr)
+        inspect.signature(fn).bind(*[None] * n_args, **dict.fromkeys(keywords))
+        passed.setdefault(attr, set()).update(keywords)
+    assert {"trials", "seed", "limit"} <= passed["run_verify_suite"]
+    assert {"jobs", "checkpoint"} <= passed["scan_perfect"]
+    assert "jobs" in passed["scan_radical_chain"]

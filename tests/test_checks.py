@@ -2,10 +2,17 @@ import random
 from fractions import Fraction
 from math import comb, prod
 
+import mpmath
 import pytest
 
+from opnkit import checks
 from opnkit.arith import Factorization, parse_factorization, symmetric_reciprocal_sums
-from opnkit.bounds import PrecisionExhaustedError
+from opnkit.bounds import (
+    DEFAULT_PRECISION_CAP_BITS,
+    Ordering3,
+    PrecisionExhaustedError,
+    decide,
+)
 from opnkit.checks import (
     PrimeSet,
     check_bound_implication,
@@ -17,6 +24,9 @@ from opnkit.checks import (
     run_verify_suite,
     verify_chain,
 )
+from opnkit.interval import nth_root_enclosure
+
+NEAR_EQUAL = (100000007, 100000037, 100000039, 100000049)
 
 
 def gm_hm_exact(primes, k) -> int:
@@ -150,13 +160,47 @@ def test_gm_hm_validation():
         check_gm_hm_step(ps, 4)
 
 
-def test_gm_hm_precision_cap():
-    # near-equal primes leave a sliver between S_k and its bound, far below
-    # what an 8-bit enclosure can separate
-    tight = PrimeSet((100000007, 100000037, 100000039, 100000049))
-    assert check_gm_hm_step(tight, 2)
-    with pytest.raises(PrecisionExhaustedError):
-        check_gm_hm_step(tight, 2, precision_cap_bits=8)
+def test_gm_hm_near_equal_primes():
+    # near-equal primes leave a relative sliver of about 1e-14 between S_k
+    # and its bound, yet the integer test decides every k
+    tight = PrimeSet(NEAR_EQUAL)
+    assert [check_gm_hm_step(tight, k) for k in range(1, 5)] == [True, True, True, False]
+
+
+def certified_gm_hm(primes, k) -> Ordering3:
+    """Reference verdict from a certified root: S_k against the enclosure of
+    (C(r,k)**r / radical**k)**(1/r), refined until it excludes S_k."""
+    r = len(primes)
+    f = Factorization(tuple((p, 1) for p in primes))
+    s_k = symmetric_reciprocal_sums(f)[k - 1]
+    t = Fraction(comb(r, k) ** r, prod(primes) ** k)
+    order, _ = decide(s_k, lambda bits: nth_root_enclosure(t, r, bits), 64, 1 << 16)
+    return order
+
+
+def test_gm_hm_against_certified_root():
+    rng = random.Random(4242)
+    sets = [random_prime_set(rng, max_size=20, prime_cap=10**5) for _ in range(170)]
+    for ps in sets + [PrimeSet(NEAR_EQUAL)]:
+        for k in range(1, len(ps)):  # at k = r both sides are equal: no strict verdict
+            order = certified_gm_hm(ps.primes, k)
+            assert order is not Ordering3.UNDECIDED
+            assert check_gm_hm_step(ps, k) == (order is Ordering3.ABOVE), (ps.primes, k)
+
+
+def test_gm_hm_against_mpmath():
+    rng = random.Random(77)
+    sets = [random_prime_set(rng, max_size=12, prime_cap=10**6) for _ in range(30)]
+    with mpmath.workdps(250):
+        for ps in sets + [PrimeSet(NEAR_EQUAL)]:
+            r = len(ps)
+            s_sums = symmetric_reciprocal_sums(Factorization(tuple((p, 1) for p in ps.primes)))
+            rad = mpmath.mpf(prod(ps.primes))
+            for k in range(1, r):
+                s_k = mpmath.mpf(s_sums[k - 1].numerator) / s_sums[k - 1].denominator
+                gap = s_k - comb(r, k) * rad ** (-mpmath.mpf(k) / r)
+                assert abs(gap) > s_k * mpmath.mpf(10) ** -200  # the sign is meaningful
+                assert check_gm_hm_step(ps, k) == (gap > 0), (ps.primes, k)
 
 
 # --- implications -------------------------------------------------------------------
@@ -209,15 +253,27 @@ def test_run_suite_passes(suite):
     assert result.checked >= 50 or suite == "gmhm"
 
 
-def test_run_suite_honours_precision_cap():
-    # seed 11 draws a pair of primes too close for a 1-bit cap to separate;
-    # the default is gmhm's own 2^16-bit cap, which decides them all
-    default = run_verify_suite("gmhm", trials=50, seed=11)
-    explicit = run_verify_suite("gmhm", trials=50, seed=11, precision_cap_bits=1 << 16)
+def test_run_suite_honours_precision_cap(monkeypatch):
+    # the bounds suite is the one that refines intervals: the cap must reach
+    # every comparison, and an open one must raise
+    real = checks.compare_rational_to_bound
+    caps = []
+
+    def spy(x, kind, r, precision_cap_bits):
+        caps.append(precision_cap_bits)
+        return real(x, kind, r, precision_cap_bits)
+
+    monkeypatch.setattr(checks, "compare_rational_to_bound", spy)
+    default = run_verify_suite("bounds", trials=50, seed=11)
+    assert caps and set(caps) == {DEFAULT_PRECISION_CAP_BITS}
+    caps.clear()
+    explicit = run_verify_suite("bounds", trials=50, seed=11, precision_cap_bits=4096)
+    assert caps and set(caps) == {4096}
     assert default.passed
     assert explicit.to_json_dict() == default.to_json_dict()
+    monkeypatch.setattr(checks, "compare_rational_to_bound", lambda *args: Ordering3.UNDECIDED)
     with pytest.raises(PrecisionExhaustedError):
-        run_verify_suite("gmhm", trials=50, seed=11, precision_cap_bits=1)
+        run_verify_suite("bounds", trials=50, seed=11)
 
 
 def test_random_prime_set_pool_unchanged():

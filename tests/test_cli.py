@@ -1,9 +1,11 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from opnkit import scan
+from opnkit.bounds import DEFAULT_PRECISION_CAP_BITS, PrecisionExhaustedError
 from opnkit.cli import main
 from opnkit.primes import primes_up_to
 from opnkit.scan import MAX_SPAN, PERFECT_HI_MAX
@@ -183,19 +185,27 @@ def test_precision_cap_env_rejected(monkeypatch, capsys, raw):
 
 
 def test_verify_precision_exhausted_exit_code(monkeypatch, capsys):
-    # seed 11 draws two primes that a 1-bit cap cannot separate
+    import opnkit.cli as cli
+
+    # gmhm is decided in integers, so no cap leaves it open
     argv = ["verify", "gmhm", "--trials", "50", "--seed", "11", "--format", "json"]
     code, default, _ = run(capsys, *argv)
     assert code == 0
-    code, explicit, _ = run(capsys, *argv, "--precision-cap", "65536")
-    assert (code, explicit) == (0, default)
-    code, out, err = run(capsys, *argv, "--precision-cap", "1")
-    assert code == 3
-    assert out == ""
+    assert run(capsys, *argv, "--precision-cap", "1") == (0, default, "")
+
+    caps = []
+
+    def exhausted(suite, *, precision_cap_bits, **kwargs):
+        caps.append(precision_cap_bits)
+        raise PrecisionExhaustedError("bound comparison at 1 bits")
+
+    monkeypatch.setattr(cli, "run_verify_suite", exhausted)
+    code, out, err = run(capsys, "verify", "bounds", "--trials", "5")
+    assert (code, out) == (3, "")
     assert err.startswith("undecided: ") and err.count("\n") == 1
-    monkeypatch.setenv("OPNKIT_PRECISION_CAP", "1")
-    code, _, _ = run(capsys, *argv)
-    assert code == 3
+    monkeypatch.setenv("OPNKIT_PRECISION_CAP", "4096")
+    assert run(capsys, "verify", "bounds", "--trials", "5")[0] == 3
+    assert caps == [DEFAULT_PRECISION_CAP_BITS, 4096]
 
 
 # --- scan -----------------------------------------------------------------------
@@ -323,6 +333,42 @@ def test_sk_json(capsys):
 def test_sk_parse_error(capsys):
     code, _, err = run(capsys, "sk", "3**5")
     assert code == 2
+
+
+@pytest.fixture
+def str_digit_limit():
+    """Set the interpreter's int-to-str digit limit; restored afterwards."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_big_ints_render_past_str_digit_limit(capsys, str_digit_limit):
+    # radical*(1 + sum S_k) over 300 primes has about 1100 digits, and 4^1100
+    # about 660: both past a limit of 640, where str() and json.dumps refuse
+    sk = "*".join(map(str, primes_up_to(2100)[1:301]))
+    commands = [["bounds", "-r", "1100", "--digits", "10"], ["sk", sk]]
+    outputs = []
+    for limit in (640, 0):  # 0 lifts the limit
+        str_digit_limit(limit)
+        outputs.append([run(capsys, *argv, *fmt) for argv in commands for fmt in ([], ["--format", "json"])])
+    assert outputs[0] == outputs[1]
+    assert all(code == 0 and err == "" for code, _, err in outputs[0])
+    assert json.loads(outputs[0][1][1])["n_upper_bound"]["log2"] == 4**1100
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_parse_refuses_numbers_past_str_digit_limit(capsys, str_digit_limit):
+    str_digit_limit(640)
+    code, out, err = run(capsys, "check", "3^2*" + "1" * 641)
+    assert (code, out) == (2, "")
+    assert err == "error: a prime factor has more than 640 digits (at position 4)\n"
+    code, _, err = run(capsys, "check", "3^" + "1" * 641 + "*5")
+    assert code == 2 and "an exponent has more than 640 digits" in err
+    # a run at the limit is read: the 640-digit repunit is composite
+    code, _, err = run(capsys, "check", "3^2*" + "1" * 640)
+    assert code == 2 and err.startswith("error: composite factor 1111")
 
 
 # --- canonical output -----------------------------------------------------------
