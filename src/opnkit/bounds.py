@@ -133,18 +133,16 @@ _EVALUATORS = {
 }
 
 
-def decide(
-    x: Fraction, enclose: Callable[[int], Interval], start_bits: int, cap_bits: int
-) -> tuple[Ordering3, Interval]:
+def decide(x: Fraction, enclose: Callable[[int], Interval], cap_bits: int) -> tuple[Ordering3, Interval]:
     """Certified strict comparison of a rational x against a real value.
 
     `enclose(bits)` returns a certified enclosure of the value at `bits`
-    bits of precision.  Refinement starts at min(start_bits, cap_bits) and
-    doubles until the enclosure excludes x (BELOW: x is below the value,
+    bits of precision.  Refinement starts at min(DEFAULT_START_BITS, cap_bits)
+    and doubles until the enclosure excludes x (BELOW: x is below the value,
     ABOVE: x is above it) or the cap is reached (UNDECIDED).  The enclosure
     that settled it comes back too; its precision_bits are the bits used.
     """
-    bits = min(start_bits, cap_bits)
+    bits = min(DEFAULT_START_BITS, cap_bits)
     while True:
         enclosure = enclose(bits)
         if enclosure.lo.cmp_fraction(x) > 0:
@@ -157,11 +155,7 @@ def decide(
 
 
 def compare_rational_to_bound(
-    x,
-    kind: str,
-    r: int,
-    precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS,
-    start_bits: int = DEFAULT_START_BITS,
+    x, kind: str, r: int, precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS
 ) -> Ordering3:
     """Certified strict comparison of a rational against a bound expression.
 
@@ -179,7 +173,7 @@ def compare_rational_to_bound(
     if r < 1:
         raise ValueError("r must be >= 1")
     evaluator = _EVALUATORS[kind]
-    order, _ = decide(x, lambda bits: evaluator(r, bits), start_bits, precision_cap_bits)
+    order, _ = decide(x, lambda bits: evaluator(r, bits), precision_cap_bits)
     return order
 
 

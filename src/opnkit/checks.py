@@ -29,6 +29,8 @@ from .primes import is_prime, primes_up_to
 from .scan import factor_odd_with_spf, spf_sieve_odd
 
 SUITES = ("lift", "chain", "gmhm", "bounds", "recip", "recip-refined")
+PRIME_SET_MAX_SIZE = 12
+PRIME_SET_CAP = 10**4
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class PrimeSet:
 
 
 def random_prime_set(
-    rng: random.Random, max_size: int = 12, prime_cap: int = 10**4
+    rng: random.Random, max_size: int = PRIME_SET_MAX_SIZE, prime_cap: int = PRIME_SET_CAP
 ) -> PrimeSet:
     """Uniformly sample r in [1, max_size] distinct odd primes below prime_cap."""
     pool = primes_up_to(prime_cap)[1:]  # the cached sieve, without 2
@@ -235,11 +237,11 @@ def run_verify_suite(
     seed: int = 0,
     limit: int = 100_000,
     precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS,
-    prime_cap: int = 10**4,
-    max_size: int = 12,
 ) -> SuiteResult:
     """Run one named verification suite; seeded, deterministic, exhaustive
     where the suite is defined that way (`chain` walks all odd n <= limit).
+    The prime-set suites draw each trial's set from `random_prime_set` at its
+    defaults: up to PRIME_SET_MAX_SIZE primes below PRIME_SET_CAP.
 
     `precision_cap_bits` caps the interval refinements of the `bounds`
     suite, the only one that makes any; a decision the cap leaves open
@@ -269,7 +271,7 @@ def run_verify_suite(
         params = {"limit": limit}
     else:
         for _ in range(trials):
-            ps = random_prime_set(rng, max_size=max_size, prime_cap=prime_cap)
+            ps = random_prime_set(rng)
             if suite == "gmhm":
                 for k in range(1, len(ps)):
                     checked += 1
@@ -287,6 +289,6 @@ def run_verify_suite(
                 checked += 1
                 if not check_refined_reciprocal_implication(ps):
                     violations.append(f"primes={ps.primes}")
-        params = {"trials": trials, "seed": seed, "prime_cap": prime_cap, "max_size": max_size}
+        params = {"trials": trials, "seed": seed, "prime_cap": PRIME_SET_CAP, "max_size": PRIME_SET_MAX_SIZE}
 
     return SuiteResult(suite=suite, checked=checked, violations=violations, params=params)

@@ -6,7 +6,7 @@ Exit codes are a stable contract:
   1  audit Refuted, or a verify suite or radical-chain scan found violations
   2  invalid arguments or unparseable factorization
   3  audit Undecided, or a verify suite reached its precision cap
-  4  unreadable checkpoint file
+  4  unreadable checkpoint file, or one written by a different scan
   5  internal error: an unexpected exception, reported on one stderr line
 """
 
@@ -17,9 +17,10 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 from .arith import NonPrimeFactorError, ParseError, parse_factorization, render
-from .arith import elementary_symmetric, symmetric_reciprocal_sums
+from .arith import elementary_symmetric
 from .bounds import (
     DEFAULT_PRECISION_CAP_BITS,
     DEFAULT_REPORT_DIGITS,
@@ -92,8 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--precision-cap", type=int,
                          default=env_cap or DEFAULT_PRECISION_CAP_BITS,
                          help=f"interval refinement cap in bits (env {PRECISION_CAP_ENV})")
-    p_check.add_argument("--start-bits", type=int, default=64,
-                         help="starting precision for interval refinement")
 
     p_verify = sub.add_parser("verify", help="run a property-verification suite")
     p_verify.add_argument("suite", choices=SUITES)
@@ -157,13 +156,13 @@ def _parse_or_complain(text: str):
 
 
 def _cmd_check(args) -> int:
-    if args.precision_cap < 1 or args.start_bits < 1:
-        print("error: --precision-cap and --start-bits must be >= 1", file=sys.stderr)
+    if args.precision_cap < 1:
+        print("error: --precision-cap must be >= 1", file=sys.stderr)
         return 2
     f = _parse_or_complain(args.factorization)
     if f is None:
         return 2
-    report = audit(f, precision_cap_bits=args.precision_cap, start_bits=args.start_bits)
+    report = audit(f, precision_cap_bits=args.precision_cap)
     if args.format == "json":
         print(_dumps(report.to_json_dict()))
     else:
@@ -234,11 +233,10 @@ def _cmd_sk(args) -> int:
     f = _parse_or_complain(args.factorization)
     if f is None:
         return 2
-    sums = symmetric_reciprocal_sums(f)
-    coeffs = elementary_symmetric(f.primes)
-    identity_lhs = coeffs[len(f.primes)] + sum(
-        coeffs[len(f.primes) - k] for k in range(1, len(f.primes) + 1)
-    )  # radical * (1 + sum S_k), cleared of denominators
+    r = len(f.primes)
+    coeffs = elementary_symmetric(f.primes)  # S_k = e_{r-k} / e_r
+    sums = [Fraction(coeffs[r - k], coeffs[r]) for k in range(1, r + 1)]
+    identity_lhs = sum(coeffs)  # radical * (1 + sum S_k), cleared of denominators
     identity_rhs = math.prod(p + 1 for p in f.primes)
     if args.format == "json":
         doc = {

@@ -20,7 +20,6 @@ from math import prod
 from .arith import Factorization, render, sigma, value
 from .bounds import (
     DEFAULT_PRECISION_CAP_BITS,
-    DEFAULT_START_BITS,
     Ordering3,
     decide,
     radical_lower_bound,
@@ -31,7 +30,7 @@ from .interval import decimal_digits, digit_string
 
 _LOG_SCALES = (16, 64, 256, 1024, 4096)
 _MATERIALIZE_BITS = 1 << 21
-DEFAULT_EXACT_DIGIT_CAP = 20_000
+_EXACT_BITS = int(20_000 * 3.322)  # sum(e * bitlen(p)) of about 20000 decimal digits
 
 
 class Verdict(Enum):
@@ -107,21 +106,23 @@ def _fmt_fraction(q: Fraction) -> str:
     return s if q.denominator == 1 else f"{s}/{digit_string(q.denominator)}"
 
 
-def _log2_bounds(pairs, scale: int) -> tuple[Fraction, Fraction]:
-    """Exact rational window [lo, hi] around log2 of the factored value.
+def _log2_bounds(pairs, scale: int) -> tuple[int, int]:
+    """Exact window [lo/scale, hi/scale] around log2 of the factored value.
 
     Per odd prime, bitlen(p**scale) pins log2(p) to within 1/scale, with
-    both ends strict; the prime 2 contributes its exponent exactly.
+    both ends strict; the prime 2 contributes its exponent exactly.  The
+    ends are kept as integer numerators over the common denominator scale,
+    so windows at one scale compare in integers.
     """
-    lo = hi = Fraction(0)
+    lo = hi = 0
     for p, e in pairs:
         if p == 2:
-            lo += e
-            hi += e
+            lo += e * scale
+            hi += e * scale
             continue
         length = (p**scale).bit_length()
-        lo += Fraction(e * (length - 1), scale)
-        hi += Fraction(e * length, scale)
+        lo += e * (length - 1)
+        hi += e * length
     return lo, hi
 
 
@@ -148,18 +149,6 @@ def _compare_factored(pairs, target) -> Ordering3:
             v = prod(p**e for p, e in pairs)
             return Ordering3.BELOW if v < prod(p**e for p, e in target) else Ordering3.ABOVE
     return Ordering3.UNDECIDED
-
-
-def _power_exceeds(p: int, e: int, bound: int) -> bool:
-    """p**e > bound, exactly, without building astronomically large powers."""
-    if e * (p.bit_length() - 1) >= bound.bit_length():
-        return True
-    acc = 1
-    for _ in range(e):
-        acc *= p
-        if acc > bound:
-            return True
-    return acc > bound
 
 
 def _check(cid: str, ok: bool, detail: str) -> ConstraintVerdict:
@@ -192,10 +181,8 @@ def _euler_form(pairs) -> ConstraintVerdict:
     return _check("euler_form", True, f"P = {p} with exponent {e}; Q = {q_str}")
 
 
-def _bound_verdict(
-    cid: str, quantity: int, evaluator, r: int, cap: int, start: int, name: str
-) -> ConstraintVerdict:
-    cmp, enclosure = decide(Fraction(quantity), lambda bits: evaluator(r, bits), start, cap)
+def _bound_verdict(cid: str, quantity: int, evaluator, r: int, cap: int, name: str) -> ConstraintVerdict:
+    cmp, enclosure = decide(Fraction(quantity), lambda bits: evaluator(r, bits), cap)
     lo_s, hi_s = enclosure.to_decimal_pair(20)
     detail = f"{name} = {_fmt_int(quantity)} vs lower bound in [{lo_s}, {hi_s}]"
     if cmp is Ordering3.ABOVE:
@@ -205,12 +192,7 @@ def _bound_verdict(
     return ConstraintVerdict(cid, Verdict.UNDECIDED, detail + f" (undecided at {cap}-bit cap)")
 
 
-def audit(
-    f: Factorization,
-    precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS,
-    exact_digit_cap: int = DEFAULT_EXACT_DIGIT_CAP,
-    start_bits: int = DEFAULT_START_BITS,
-) -> ConstraintReport:
+def audit(f: Factorization, precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS) -> ConstraintReport:
     """Run the full battery of necessary conditions against a candidate.
 
     An even candidate (or N = 1) fails the parity gate immediately and is
@@ -314,8 +296,8 @@ def audit(
             )
         )
 
-    cohen_bound = 10**20
-    big = [(p, e) for p, e in pairs if _power_exceeds(p, e, cohen_bound)]
+    ten_to_20 = ((2, 20), (5, 20))
+    big = [(p, e) for p, e in pairs if _compare_factored(((p, e),), ten_to_20) is Ordering3.ABOVE]
     if big:
         p, e = big[0]
         detail = f"{p}^{e} > 10^20"
@@ -345,10 +327,10 @@ def audit(
         )
 
     verdicts.append(
-        _bound_verdict("radical_bound", prod(primes), radical_lower_bound, r, precision_cap_bits, start_bits, "radical(N)")
+        _bound_verdict("radical_bound", prod(primes), radical_lower_bound, r, precision_cap_bits, "radical(N)")
     )
     verdicts.append(
-        _bound_verdict("prime_sum_bound", sum(primes), prime_sum_lower_bound, r, precision_cap_bits, start_bits, "prime_sum(N)")
+        _bound_verdict("prime_sum_bound", sum(primes), prime_sum_lower_bound, r, precision_cap_bits, "prime_sum(N)")
     )
 
     recip = sum(Fraction(1, p) for p in primes)
@@ -370,7 +352,8 @@ def audit(
         )
     )
 
-    if _materialize_bits(pairs) <= int(exact_digit_cap * 3.322):
+    exact_bits = _materialize_bits(pairs)
+    if exact_bits <= _EXACT_BITS:
         v = value(f)
         s = sigma(f)
         verdicts.append(
@@ -385,7 +368,7 @@ def audit(
             ConstraintVerdict(
                 "perfect_exact",
                 Verdict.UNDECIDED,
-                f"N exceeds the exact-evaluation cap of {exact_digit_cap} digits",
+                f"N exceeds the exact-evaluation cap: sum(e*bitlen(p)) = {_fmt_int(exact_bits)} > {_EXACT_BITS} bits",
             )
         )
 

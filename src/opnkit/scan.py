@@ -5,11 +5,11 @@ runs of blocks with one numpy divisor-pair kernel, at stride 1 for every n
 or stride 2 for odd n only (a parity=odd perfect scan and the radical-chain
 scan sieve no even n), and report per-block findings; the main process merges
 them in block order, so the result is byte-identical for any worker count.
-A checkpoint file (one JSON line per completed block) lets an interrupted
-scan resume without rework.  `hi` is capped at PERFECT_HI_MAX = 10**12 for
-perfect scans and RADICAL_CHAIN_HI_MAX = 10**9 for radical-chain scans,
-and one scan covers at most MAX_SPAN = 10**9 numbers; beyond these the
-scan raises ValueError.
+A checkpoint file (one JSON line per completed block, each naming the scan
+that wrote it) lets an interrupted scan resume without rework.  `hi` is
+capped at PERFECT_HI_MAX = 10**12 for perfect scans and
+RADICAL_CHAIN_HI_MAX = 10**9 for radical-chain scans, and one scan covers
+at most MAX_SPAN = 10**9 numbers; beyond these the scan raises ValueError.
 
 numpy is imported inside the kernels that use it, not at module level, so
 importing this module (and with it `opnkit`, the audit and the suites)
@@ -213,10 +213,13 @@ def _scan_segment(task) -> list[tuple[int, list[tuple[int, str]]]]:
     return [(i, per_block.get(i, [])) for i in range(first, last + 1)]
 
 
-def _read_checkpoint(path, nblocks: int) -> tuple[dict[int, list[tuple[int, str]]], int]:
+def _read_checkpoint(path, scan: list, nblocks: int) -> tuple[dict[int, list[tuple[int, str]]], int]:
     """The completed blocks of a checkpoint file, and the byte length of its
     whole records.  A record is a newline-terminated line; what follows the
-    last newline is a line torn by an interrupted run and is not read."""
+    last newline is a line torn by an interrupted run and is not read.  Each
+    record names its scan as [kind, lo, hi, parity, block_size]; a record
+    of any other scan raises CheckpointError, since its blocks are not this
+    scan's blocks."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -233,6 +236,8 @@ def _read_checkpoint(path, nblocks: int) -> tuple[dict[int, list[tuple[int, str]
             rec = json.loads(line)
             idx = rec["block"]
             viols = [(int(n), str(d)) for n, d in rec.get("violations", [])]
+            if rec.get("scan") != scan:
+                raise ValueError(f"written by scan {rec.get('scan')}, not {scan}")
             if not isinstance(idx, int) or not 0 <= idx < nblocks:
                 raise ValueError(f"block index {idx} out of range")
         except (ValueError, KeyError, TypeError) as exc:
@@ -249,10 +254,11 @@ def _count_parity(lo: int, hi: int, parity: str) -> int:
 
 
 def _run_scan(
-    hits, hi_max: int, lo: int, hi: int, parity: str, jobs: int, block_size: int, checkpoint
+    kind: str, hits, hi_max: int, lo: int, hi: int, parity: str, jobs: int, block_size: int, checkpoint
 ) -> ScanReport:
     """Scan [lo, hi] with `hits(a, b)`, which returns the (n, detail) findings
-    of one segment; `parity` is the parity of the n it tests."""
+    of one segment; `parity` is the parity of the n it tests, and `kind`
+    names the scan in its checkpoint records."""
     if not 1 < lo <= hi:
         raise ValueError("need 1 < lo <= hi")
     if hi > hi_max:
@@ -267,7 +273,8 @@ def _run_scan(
         raise ValueError("block_size must be >= 1")
     t0 = time.perf_counter()
     nblocks = (hi - lo) // block_size + 1
-    completed, whole = _read_checkpoint(checkpoint, nblocks) if checkpoint else ({}, 0)
+    scan = [kind, lo, hi, parity, block_size]
+    completed, whole = _read_checkpoint(checkpoint, scan, nblocks) if checkpoint else ({}, 0)
 
     # batch pending contiguous blocks into sieve segments
     seg_blocks = max(1, _SEGMENT_ELEMS // block_size)
@@ -304,7 +311,7 @@ def _run_scan(
             for idx, viols in seg:
                 completed[idx] = viols
                 if ckpt_fh:
-                    ckpt_fh.write(json.dumps({"block": idx, "violations": viols}) + "\n")
+                    ckpt_fh.write(json.dumps({"block": idx, "scan": scan, "violations": viols}) + "\n")
             if ckpt_fh:
                 ckpt_fh.flush()
     violations = tuple(
@@ -332,14 +339,15 @@ def scan_perfect(
 
     The report's `violations` are the perfect numbers found.  Results are
     identical for any `jobs` value; `checkpoint` names a JSON-lines file of
-    completed blocks for resumable scans.  `hi` may not exceed
-    PERFECT_HI_MAX = 10**12.  int64 is exact far beyond it: sigma(n) <=
-    n*(1 + ln n) < 3e13 there.  The ceiling bounds the cost: the sieve loops
-    over every divisor d <= sqrt(hi) in Python for each segment, 10**6
-    iterations at the ceiling.
+    completed blocks for resumable scans, and a file that another scan wrote
+    raises CheckpointError.  `hi` may not exceed PERFECT_HI_MAX = 10**12.
+    int64 is exact far beyond it: sigma(n) <= n*(1 + ln n) < 3e13 there.
+    The ceiling bounds the cost: the sieve loops over every divisor
+    d <= sqrt(hi) in Python for each segment, 10**6 iterations at the
+    ceiling.
     """
     hits = partial(_perfect_hits, parity=parity)
-    return _run_scan(hits, PERFECT_HI_MAX, lo, hi, parity, jobs, block_size, checkpoint)
+    return _run_scan("perfect", hits, PERFECT_HI_MAX, lo, hi, parity, jobs, block_size, checkpoint)
 
 
 def scan_radical_chain(
@@ -354,4 +362,6 @@ def scan_radical_chain(
     exceeds its radical's when n is not squarefree (with equality when it
     is).  Violations would disprove the exponent-raising chain argument;
     none are expected, ever.  `hi` may not exceed RADICAL_CHAIN_HI_MAX."""
-    return _run_scan(_radical_chain_hits, RADICAL_CHAIN_HI_MAX, lo, hi, "odd", jobs, block_size, checkpoint)
+    return _run_scan(
+        "radical-chain", _radical_chain_hits, RADICAL_CHAIN_HI_MAX, lo, hi, "odd", jobs, block_size, checkpoint
+    )

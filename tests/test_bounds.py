@@ -272,7 +272,7 @@ SQRT2_49 = Fraction(14142135623730950488016887242096980785696718753769, 10**49)
 def test_decide_below_and_above():
     for x, want in ((Fraction(1), Ordering3.BELOW), (Fraction(3, 2), Ordering3.ABOVE)):
         calls = []
-        order, enclosure = decide(x, recording_sqrt2(calls), 64, 1024)
+        order, enclosure = decide(x, recording_sqrt2(calls), 1024)
         assert order is want
         assert calls == [64]
         assert enclosure.precision_bits == 64
@@ -281,16 +281,16 @@ def test_decide_below_and_above():
 
 def test_decide_refines_until_decided():
     calls = []
-    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls), 8, 1 << 12)
+    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls), 1 << 12)
     assert order is Ordering3.BELOW  # the truncated decimal lies below sqrt(2)
-    assert calls == [8, 16, 32, 64, 128, 256]
+    assert calls == [64, 128, 256]
     assert enclosure.precision_bits == calls[-1]
     assert enclosure.lo.cmp_fraction(SQRT2_49) > 0
 
 
 def test_decide_undecided_at_cap():
     calls = []
-    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls), 64, 100)
+    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls), 100)
     assert order is Ordering3.UNDECIDED
     assert calls == [64, 100]
     assert enclosure.precision_bits == 100
@@ -299,7 +299,7 @@ def test_decide_undecided_at_cap():
 
 def test_decide_start_above_cap_clamps():
     calls = []
-    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls), 64, 16)
+    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls), 16)
     assert order is Ordering3.UNDECIDED
     assert calls == [16]
     assert enclosure.precision_bits == 16

@@ -174,7 +174,7 @@ def certified_gm_hm(primes, k) -> Ordering3:
     f = Factorization(tuple((p, 1) for p in primes))
     s_k = symmetric_reciprocal_sums(f)[k - 1]
     t = Fraction(comb(r, k) ** r, prod(primes) ** k)
-    order, _ = decide(s_k, lambda bits: nth_root_enclosure(t, r, bits), 64, 1 << 16)
+    order, _ = decide(s_k, lambda bits: nth_root_enclosure(t, r, bits), 1 << 16)
     return order
 
 

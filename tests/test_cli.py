@@ -161,8 +161,8 @@ def test_precision_cap_env(monkeypatch, capsys):
     "argv",
     [
         ["check", "3^2*5*7^2", "--precision-cap", "0"],
-        ["check", "3^2*5*7^2", "--start-bits", "0"],
-        ["check", "3^2*5*7^2", "--start-bits", "-64"],
+        ["check", "3^2*5*7^2", "--precision-cap", "-64"],
+        ["verify", "chain", "--limit", "9", "--precision-cap", "0"],
         ["verify", "gmhm", "--trials", "5", "--precision-cap", "0"],
         ["verify", "bounds", "--trials", "5", "--precision-cap", "-1"],
     ],
@@ -259,6 +259,18 @@ def test_scan_bad_checkpoint(tmp_path, capsys):
     assert "checkpoint" in err
 
 
+@pytest.mark.parametrize("first, second", [
+    (["--block-size", "3000"], ["--block-size", "1000"]),
+    (["--parity", "odd"], ["--parity", "all"]),
+])
+def test_scan_checkpoint_of_another_scan_exits_4(tmp_path, capsys, first, second):
+    argv = ["scan", "--lo", "2", "--hi", "10000", "--jobs", "1", "--checkpoint", str(tmp_path / "ck.jsonl")]
+    assert run(capsys, *argv, *first)[0] == 0
+    code, out, err = run(capsys, *argv, *second)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: bad checkpoint line 1: written by scan")
+
+
 def test_scan_resume_matches(tmp_path, capsys):
     ck = tmp_path / "ck.jsonl"
     code, full, _ = run(capsys, "scan", "--lo", "2", "--hi", "50000", "--jobs", "1", "--format", "json")
@@ -328,6 +340,28 @@ def test_sk_json(capsys):
     assert doc["identity"]["holds"] is True
     rendered = out.strip()
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == rendered
+
+
+def test_sk_computes_coefficients_once(monkeypatch, capsys):
+    # the sums and the identity line share one pass over the primes
+    import opnkit.arith as arith
+    import opnkit.cli as cli
+
+    calls = []
+    original = arith.elementary_symmetric
+
+    def spy(values):
+        calls.append(tuple(values))
+        return original(values)
+
+    monkeypatch.setattr(arith, "elementary_symmetric", spy)
+    monkeypatch.setattr(cli, "elementary_symmetric", spy)
+    assert run(capsys, "sk", "3*5*7", "--format", "json") == (0, (GOLDEN / "sk.json").read_text(), "")
+    assert calls == [(3, 5, 7)]
+    calls.clear()
+    code, out, _ = run(capsys, "sk", "3*5*7")
+    assert code == 0 and "identity check: radical*(1 + sum S_k) = 192, prod(1 + p) = 192 -> ok" in out
+    assert calls == [(3, 5, 7)]
 
 
 def test_sk_parse_error(capsys):

@@ -15,7 +15,7 @@ from opnkit.constraints import (
     Verdict,
     _compare_factored,
     _fmt_int,
-    _power_exceeds,
+    _compare_factored,
     audit,
     explain,
 )
@@ -170,11 +170,15 @@ def test_cohen_component():
 
 
 def test_power_exceeds():
-    assert _power_exceeds(3, 50, 10**20)
-    assert not _power_exceeds(3, 2, 10**20)
-    assert _power_exceeds(10**21 + 7 + 10, 1, 10**20)
-    assert not _power_exceeds(99999989, 2, 10**20)  # ~1e16
-    assert _power_exceeds(3, 2**31, 10**20)
+    # the cohen_component test: a prime power against 10^20, never expanded when huge
+    def exceeds(p, e):
+        return _compare_factored(((p, e),), ((2, 20), (5, 20))) is Ordering3.ABOVE
+
+    assert exceeds(3, 50)
+    assert not exceeds(3, 2)
+    assert exceeds(10**21 + 7 + 10, 1)
+    assert not exceeds(99999989, 2)  # ~1e16
+    assert exceeds(3, 2**31)
 
 
 def pow2(k):
@@ -243,14 +247,24 @@ def test_perfect_exact_verdict():
     v = by_id(audit(parse_factorization("3^2*5*7^2")))
     assert v["perfect_exact"].verdict is Verdict.FAIL
     assert "4446" in v["perfect_exact"].detail and "4410" in v["perfect_exact"].detail
-    v = by_id(audit(parse_factorization("3^2"), exact_digit_cap=0))
+
+
+def test_exact_evaluation_cap():
+    # the cap is sum(e * bitlen(p)) <= 66440: 3^33220 sits on it, 3^33221 is past it
+    v = by_id(audit(parse_factorization("3^33220")))
+    assert v["perfect_exact"].verdict is Verdict.FAIL
+    v = by_id(audit(parse_factorization("3^33221")))
     assert v["perfect_exact"].verdict is Verdict.UNDECIDED
+    assert v["perfect_exact"].detail == (
+        "N exceeds the exact-evaluation cap: sum(e*bitlen(p)) = 66442 > 66440 bits"
+    )
 
 
 def test_overall_aggregation():
     # any Fail refutes regardless of the other verdicts
     assert audit(parse_factorization("3^2*5*7^2")).overall is Overall.REFUTED
-    report = audit(parse_factorization("3^2*5*7^2"), exact_digit_cap=0)
+    report = audit(parse_factorization("3^33221"))
+    assert by_id(report)["perfect_exact"].verdict is Verdict.UNDECIDED
     assert report.overall is Overall.REFUTED  # Fail beats Undecided
 
 
@@ -321,9 +335,10 @@ def test_report_json():
 
 
 def test_bound_verdict_shows_deciding_enclosure():
-    # 105 clears the r = 3 radical bound (about 56.9) at the first, 8-bit step
-    v = by_id(audit(parse_factorization("3^2*5*7^2"), start_bits=8))
-    lo, hi = radical_lower_bound(3, 8).to_decimal_pair(20)
+    # 105 clears the r = 3 radical bound (about 56.9) at the first step,
+    # which a 16-bit cap clamps to 16 bits
+    v = by_id(audit(parse_factorization("3^2*5*7^2"), precision_cap_bits=16))
+    lo, hi = radical_lower_bound(3, 16).to_decimal_pair(20)
     assert v["radical_bound"].verdict is Verdict.PASS
     assert v["radical_bound"].detail == f"radical(N) = 105 vs lower bound in [{lo}, {hi}]"
     assert radical_lower_bound(3, 64).to_decimal_pair(20) != (lo, hi)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -248,18 +249,53 @@ def test_checkpoint_resume(tmp_path):
     assert again.violations == full.violations
 
 
+# the scan key of scan_perfect(2, 10**5) at the default block size
+SCAN_2_1E5 = '"scan": ["perfect", 2, 100000, "all", 65536]'
+
+
 def test_checkpoint_interior_corruption(tmp_path):
     ck = tmp_path / "scan.jsonl"
-    ck.write_text('not json\n{"block": 0, "violations": []}\n')
-    with pytest.raises(CheckpointError):
+    ck.write_text(f'not json\n{{"block": 0, {SCAN_2_1E5}, "violations": []}}\n')
+    with pytest.raises(CheckpointError, match="line 1: Expecting value"):
         scan_perfect(2, 10**5, checkpoint=str(ck))
 
 
 def test_checkpoint_out_of_range_block(tmp_path):
     ck = tmp_path / "scan.jsonl"
-    ck.write_text('{"block": 99999, "violations": []}\n{"block": 0, "violations": []}\n')
-    with pytest.raises(CheckpointError):
+    ck.write_text(
+        f'{{"block": 99999, {SCAN_2_1E5}, "violations": []}}\n{{"block": 0, {SCAN_2_1E5}, "violations": []}}\n'
+    )
+    with pytest.raises(CheckpointError, match="out of range"):
         scan_perfect(2, 10**5, checkpoint=str(ck))
+
+
+def test_checkpoint_without_scan_rejected(tmp_path):
+    ck = tmp_path / "scan.jsonl"
+    ck.write_text('{"block": 0, "violations": []}\n')
+    with pytest.raises(CheckpointError, match="written by scan None"):
+        scan_perfect(2, 10**5, checkpoint=str(ck))
+
+
+@pytest.mark.parametrize(
+    "written, resumed",
+    [
+        # resumed at another block size, the blocks were reported as [6, 28, 496, 8128, 8128]
+        (partial(scan_perfect, 2, 10**4, block_size=3000), partial(scan_perfect, 2, 10**4, block_size=1000)),
+        # an odd scan's blocks were taken as done by an all scan, which then reported []
+        (partial(scan_perfect, 2, 10**4, "odd", block_size=1000), partial(scan_perfect, 2, 10**4, block_size=1000)),
+        (partial(scan_perfect, 3, 10**4, "odd", block_size=1000), partial(scan_radical_chain, 3, 10**4, block_size=1000)),
+        (partial(scan_perfect, 2, 10**4, block_size=1000), partial(scan_perfect, 3, 10**4, block_size=1000)),
+        (partial(scan_perfect, 2, 10**4, block_size=1000), partial(scan_perfect, 2, 2 * 10**4, block_size=1000)),
+    ],
+    ids=["block_size", "parity", "kind", "lo", "hi"],
+)
+def test_checkpoint_of_another_scan_rejected(tmp_path, written, resumed):
+    ck = tmp_path / "scan.jsonl"
+    written(checkpoint=str(ck))
+    before = ck.read_bytes()
+    with pytest.raises(CheckpointError, match="written by scan"):
+        resumed(checkpoint=str(ck))
+    assert ck.read_bytes() == before
 
 
 def test_checkpoint_preserves_findings(tmp_path):
@@ -267,6 +303,7 @@ def test_checkpoint_preserves_findings(tmp_path):
     ck = tmp_path / "scan.jsonl"
     scan_perfect(2, 10_000, block_size=1024, checkpoint=str(ck))
     records = [json.loads(line) for line in ck.read_text().splitlines()]
+    assert all(rec["scan"] == ["perfect", 2, 10_000, "all", 1024] for rec in records)
     found = sorted(n for rec in records for n, _ in rec["violations"])
     assert found == [6, 28, 496, 8128]
     # wipe nothing; rerun is a no-op and reproduces the same report
