@@ -1,10 +1,13 @@
 """Exhaustive desk-scale range scans with deterministic parallel merge.
 
 Scans partition [lo, hi] into fixed-size blocks.  Workers sieve contiguous
-runs of blocks with one numpy divisor-pair kernel, at stride 1 for every n
-or stride 2 for odd n only (a parity=odd perfect scan and the radical-chain
-scan sieve no even n), and report per-block findings; the main process merges
-them in block order, so the result is byte-identical for any worker count.
+runs of blocks with one numpy divisor-pair kernel that sieves odd n only,
+and report per-block findings; the main process merges them in block
+order, so the result is byte-identical for any worker count.  No even n is
+ever sieved: sigma(2**k * m) = (2**(k+1) - 1) * sigma(m) for odd m, so
+`sigma_segment` fills every n of a window from odd-only sieves of the m,
+while a parity=odd perfect scan and the radical-chain scan call the odd
+kernel directly.
 A checkpoint file (one JSON line per completed block, each naming the scan
 that wrote it) lets an interrupted scan resume without rework.  `hi` is
 capped at PERFECT_HI_MAX = 10**12 for perfect scans and
@@ -65,53 +68,79 @@ class ScanReport:
 
 
 def sigma_segment(a: int, b: int) -> np.ndarray:
-    """Divisor sums sigma(n) for every n in [a, b] (a >= 1), as int64."""
-    return _divisor_sums(a, b, 1)
+    """Divisor sums sigma(n) for every n in [a, b] (a >= 1), as int64.
 
-
-def _first_quotient(a: int, d: int, step: int) -> int:
-    """Least q with d*q >= a that a stride-`step` run from a reaches: d*q = a
-    (mod step).  At step 2, a and d are odd, so q is the first odd one."""
-    q = -(-a // d)
-    if (d * q - a) % step:
-        q += 1
-    return q
-
-
-def _divisor_sums(a: int, b: int, step: int) -> np.ndarray:
-    """sigma(n) for n = a, a + step, ... <= b, as int64, indexed by (n - a) // step.
-
-    Step 1 covers every n >= 1; step 2 covers the odd n from an odd a, whose
-    divisors are all odd.  Divisor-pair sieve: each d <= sqrt(b) (odd d only
-    at step 2) contributes d + n/d to its multiples n = d*q with q >= d, with
-    the square root counted once.
+    No even n is sieved.  Each n is 2**k * m with m odd, and by Euler's
+    identity sigma(n) = (2**(k+1) - 1) * sigma(m); so for each k with
+    2**k <= b the odd m in [ceil(a / 2**k), b // 2**k] are sieved once, and
+    their sums fill the n = 2**k * m, which lie 2**(k+1) apart.
     """
     import numpy as np
 
-    sig = np.zeros((b - a) // step + 1, dtype=np.int64)
-    for d in range(1, math.isqrt(b) + 1, step):
-        q0 = max(d, _first_quotient(a, d, step))
-        q1 = b // d
-        if q0 > q1:
-            continue
-        qs = np.arange(q0, q1 + 1, step, dtype=np.int64)
-        start = (d * q0 - a) // step
-        sig[start : start + (len(qs) - 1) * d + 1 : d] += d + qs
-        if q0 == d:
-            sig[(d * d - a) // step] -= d
+    sig = np.empty(b - a + 1, dtype=np.int64)
+    k = 0
+    while 1 << k <= b:
+        m_lo = -(-a >> k) | 1
+        m_hi = b >> k
+        if m_lo <= m_hi:
+            sig[(m_lo << k) - a :: 2 << k] = ((2 << k) - 1) * _odd_divisor_sums(m_lo, m_hi)
+        k += 1
+    return sig
+
+
+def _first_quotient(a: int, d: int) -> int:
+    """Least odd q with d*q >= a, for odd a and d: the first multiple of d
+    that a stride-2 run from a reaches."""
+    return -(-a // d) | 1
+
+
+def _odd_divisor_sums(a: int, b: int) -> np.ndarray:
+    """sigma(n) for the odd n = a, a + 2, ... <= b (a odd), as int64, indexed
+    by (n - a) // 2.
+
+    Divisor-pair sieve over odd d only, since an odd n has no even divisor:
+    each odd d <= sqrt(b) adds d + q to its odd multiples n = d*q with
+    q >= d, the square root counted once.  The first and last quotient and
+    the start index of every d are computed at once, and a d with no
+    multiple in the window is dropped.  The d with one multiple are added
+    in one scatter; each of the rest does two in-place adds on its strided
+    view, the scalar d + q0 and a slice of one shared ramp 0, 2, 4, ...
+    (consecutive odd quotients differ by 2).
+    """
+    import numpy as np
+
+    sig = np.zeros((b - a) // 2 + 1, dtype=np.int64)
+    ds = np.arange(1, math.isqrt(b) + 1, 2, dtype=np.int64)
+    q0 = np.maximum(ds, -(-a // ds) | 1)
+    counts = (b // ds - q0) // 2 + 1
+    keep = counts > 0
+    ds, q0, counts = ds[keep], q0[keep], counts[keep]
+    starts = (ds * q0 - a) // 2
+    square = q0 == ds
+    sig[starts[square]] -= ds[square]
+    firsts = ds + q0
+    one = counts == 1
+    np.add.at(sig, starts[one], firsts[one])
+    many = ~one
+    ramp = np.arange(0, 2 * len(sig), 2, dtype=np.int64)
+    # memoryviews yield plain ints one at a time, with no list per array
+    for d, first, start in zip(*(memoryview(x[many]) for x in (ds, firsts, starts))):
+        view = sig[start::d]  # the multiples of d from d*q0 to the window's end
+        view += first
+        view += ramp[: len(view)]
     return sig
 
 
 def _perfect_hits(a: int, b: int, parity: str) -> list[tuple[int, str]]:
-    """Perfect numbers of the given parity in [a, b]; odd ones are sieved
-    at step 2, so a parity=odd scan never computes sigma of an even n."""
+    """Perfect numbers of the given parity in [a, b]; odd ones come from the
+    odd kernel, so a parity=odd scan never computes sigma of an even n."""
     import numpy as np
 
     if parity == "odd":
         a |= 1
         if a > b:
             return []
-        sig = _divisor_sums(a, b, 2)
+        sig = _odd_divisor_sums(a, b)
         ns = np.arange(a, b + 1, 2, dtype=np.int64)
     else:
         sig = sigma_segment(a, b)
@@ -146,20 +175,20 @@ def _radical_chain_hits(a: int, b: int) -> list[tuple[int, str]]:
     for p in primes_up_to(math.isqrt(b)):
         if p == 2:
             continue
-        i0 = (_first_quotient(a, p, 2) * p - a) // 2
+        i0 = (_first_quotient(a, p) * p - a) // 2
         if i0 >= len(ns):
             continue
         srad[i0::p] *= p
         sigrad[i0::p] *= p + 1
         pk = p
         while pk <= b:
-            spart[(_first_quotient(a, pk, 2) * pk - a) // 2 :: pk] *= p
+            spart[(_first_quotient(a, pk) * pk - a) // 2 :: pk] *= p
             pk *= p
     large = ns // spart
     big = large > 1
     rad = srad * np.where(big, large, 1)
     sigrad = sigrad * np.where(big, large + 1, 1)
-    sig = _divisor_sums(a, b, 2)
+    sig = _odd_divisor_sums(a, b)
     lhs = sigrad * ns  # sigma(rad) * n
     rhs = sig * rad  # sigma(n) * rad
     squarefree = spart == srad
@@ -305,7 +334,7 @@ def _run_scan(
         else:
             from multiprocessing import Pool
 
-            pool = stack.enter_context(Pool(processes=jobs))
+            pool = stack.enter_context(Pool(processes=min(jobs, len(tasks))))
             results = pool.imap_unordered(_scan_segment, tasks)
         for seg in results:
             for idx, viols in seg:
@@ -342,9 +371,11 @@ def scan_perfect(
     completed blocks for resumable scans, and a file that another scan wrote
     raises CheckpointError.  `hi` may not exceed PERFECT_HI_MAX = 10**12.
     int64 is exact far beyond it: sigma(n) <= n*(1 + ln n) < 3e13 there.
-    The ceiling bounds the cost: the sieve loops over every divisor
-    d <= sqrt(hi) in Python for each segment, 10**6 iterations at the
-    ceiling.
+    The ceiling bounds the cost: each sieve pass loops in Python over the
+    odd d <= sqrt(hi) with more than one multiple in the segment, up to
+    5*10**5 of them at the ceiling, and an all-n segment takes one pass per
+    power of two.  A full 2**21-number segment ending at 10**12 takes about
+    2.2 s for every n and 1.0 s for the odd n (2 vCPUs, numpy 2.4).
     """
     hits = partial(_perfect_hits, parity=parity)
     return _run_scan("perfect", hits, PERFECT_HI_MAX, lo, hi, parity, jobs, block_size, checkpoint)

@@ -16,7 +16,7 @@ from opnkit.scan import (
     RADICAL_CHAIN_HI_MAX,
     CheckpointError,
     _count_parity,
-    _divisor_sums,
+    _odd_divisor_sums,
     factor_odd_with_spf,
     scan_perfect,
     scan_radical_chain,
@@ -54,7 +54,7 @@ def test_divisor_sums_matches_brute(a, b, step):
         a += 1  # the odd-only kernel starts from an odd a
         if a > b:
             return
-    got = _divisor_sums(a, b, step)
+    got = sigma_segment(a, b) if step == 1 else _odd_divisor_sums(a, b)
     ns = range(a, b + 1, step)
     assert len(got) == len(ns)
     assert [int(v) for v in got] == [sigma_brute(n) for n in ns]
@@ -63,7 +63,7 @@ def test_divisor_sums_matches_brute(a, b, step):
 def test_divisor_sums_near_1e9():
     a, b = 10**9 - 4001, 10**9  # both odd ends, so step 2 covers the odd n
     rng = random.Random(9)
-    every, odd = _divisor_sums(a, b, 1), _divisor_sums(a, b, 2)
+    every, odd = sigma_segment(a, b), _odd_divisor_sums(a, b)
     assert list(every[::2]) == list(odd)
     for n in [a, b - 1, b] + rng.sample(range(a, b + 1), 60):
         assert every[n - a] == sigma(factorize(n)), n
@@ -126,21 +126,91 @@ def test_scan_perfect_parity():
 
 @pytest.mark.parametrize("lo, hi", [(2, 5000), (3, 4999), (1001, 1001), (1002, 1002)])
 def test_parity_routing_visits_each_n_once(monkeypatch, lo, hi):
-    # a kernel that makes every n look perfect: each n of the parity must be
-    # reported once, and odd scans must sieve at stride 2 only
-    steps = []
+    # kernels that make every n look perfect: each n of the parity must be
+    # reported once; all and even scans call sigma_segment once per segment,
+    # and odd scans sieve only odd n and never call it
+    calls = []
 
-    def every_n_perfect(a, b, step=1):
-        steps.append(step)
-        return 2 * np.arange(a, b + 1, step, dtype=np.int64)
+    def every_n_perfect(a, b):
+        calls.append(("all", a, b))
+        return 2 * np.arange(a, b + 1, dtype=np.int64)
 
-    monkeypatch.setattr(scan, "_divisor_sums", every_n_perfect)
+    def every_odd_n_perfect(a, b):
+        calls.append(("odd", a, b))
+        return 2 * np.arange(a, b + 1, 2, dtype=np.int64)
+
+    block_size = 777
+    monkeypatch.setattr(scan, "_SEGMENT_ELEMS", 2 * block_size)  # two blocks a segment
     monkeypatch.setattr(scan, "sigma_segment", every_n_perfect)
+    monkeypatch.setattr(scan, "_odd_divisor_sums", every_odd_n_perfect)
+    segments = [(a, min(a + 2 * block_size - 1, hi)) for a in range(lo, hi + 1, 2 * block_size)]
     for parity, first, stride in (("all", lo, 1), ("odd", lo | 1, 2), ("even", lo + lo % 2, 2)):
-        steps.clear()
-        rep = scan_perfect(lo, hi, parity, block_size=777)
+        calls.clear()
+        rep = scan_perfect(lo, hi, parity, block_size=block_size)
         assert [n for n, _ in rep.violations] == list(range(first, hi + 1, stride))
-        assert set(steps) <= ({2} if parity == "odd" else {1})
+        if parity == "odd":
+            assert calls == [("odd", a | 1, b) for a, b in segments if a | 1 <= b]
+        else:
+            assert calls == [("all", a, b) for a, b in segments]
+
+
+@pytest.mark.parametrize("jobs, expected", [(64, 3), (3, 3), (2, 2)])
+def test_pool_no_larger_than_the_work(monkeypatch, jobs, expected):
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for; runs the tasks in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, func, tasks):
+            return map(func, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(scan, "_SEGMENT_ELEMS", 4000)  # one block a segment
+    rep = scan_perfect(2, 12_001, jobs=jobs, block_size=4000)  # three segments
+    assert sizes == [expected]
+    assert rep.violations == scan_perfect(2, 12_001).violations
+
+
+@st.composite
+def sieve_windows(draw):
+    """[a, b] with 1 <= a <= b <= 2**22 and b - a < 4096, biased to the edges
+    of sigma_segment's power-of-two loop: single points, ends at 2**k or
+    2**k +- 1, and windows that hold one even n."""
+    top = 1 << 22
+    edge = st.builds(lambda k, e: min(max(1, (1 << k) + e), top), st.integers(0, 22), st.sampled_from((-1, 0, 1)))
+    end = draw(st.one_of(edge, st.integers(1, top)))
+    shape = draw(st.sampled_from(("point", "from", "to", "one_even", "any")))
+    if shape == "point":
+        return end, end
+    if shape == "from":
+        return end, draw(st.integers(end, min(end + 4095, top)))
+    if shape == "to":
+        return draw(st.integers(max(1, end - 4095), end)), end
+    if shape == "one_even":
+        even = min(end + end % 2, top)
+        return max(1, even - draw(st.integers(0, 1))), min(top, even + draw(st.integers(0, 1)))
+    a = draw(st.integers(1, top))
+    return a, min(top, a + draw(st.integers(0, 4095)))
+
+
+@settings(max_examples=60)
+@given(sieve_windows())
+def test_sigma_segment_matches_factorize(window):
+    a, b = window
+    assert sigma_segment(a, b).tolist() == [sigma(factorize(n)) for n in range(a, b + 1)]
+    if a | 1 <= b:
+        assert _odd_divisor_sums(a | 1, b).tolist() == sigma_segment(a | 1, b)[::2].tolist()
 
 
 @settings(max_examples=40)
@@ -161,7 +231,7 @@ def test_perfect_scan_at_ceiling():
     # int64 is exact here by a wide margin; sigma(n) < n(1 + ln n) < 3e13
     lo, hi = PERFECT_HI_MAX - 99, PERFECT_HI_MAX  # lo is odd
     every = sigma_segment(lo, hi)
-    assert list(_divisor_sums(lo, hi, 2)) == list(every[::2])
+    assert list(_odd_divisor_sums(lo, hi)) == list(every[::2])
     for n in random.Random(12).sample(range(lo, hi + 1), 12) + [lo, hi]:
         assert every[n - lo] == sigma(factorize(n)), n
     rep = scan_perfect(lo, hi, "odd")

@@ -1,0 +1,45 @@
+"""Differential tests against sympy, an oracle that shares no code with
+opnkit.  Skipped where sympy is not installed; it is not a dependency."""
+
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from opnkit.arith import factorize, sigma  # noqa: E402
+from opnkit.scan import factor_odd_with_spf, sigma_segment, spf_sieve_odd  # noqa: E402
+
+
+@pytest.mark.parametrize(
+    "centre",
+    [2**20, 2**30, 3 * 2**29, 10**9 - 200],
+    ids=["2^20", "2^30", "3*2^29", "1e9"],
+)
+def test_sigma_segment_matches_sympy(centre):
+    a, b = centre - 200, centre + 200
+    got = sigma_segment(a, b).tolist()
+    assert got == [int(sympy.divisor_sigma(n)) for n in range(a, b + 1)]
+
+
+def test_sigma_segment_matches_sympy_at_1e12():
+    a, b = 10**12 - 99, 10**12
+    got = sigma_segment(a, b)
+    for n in random.Random(1012).sample(range(a, b + 1), 25) + [a, b]:
+        assert int(got[n - a]) == int(sympy.divisor_sigma(n)), n
+
+
+def test_factorize_and_sigma_match_sympy():
+    rng = random.Random(4)
+    ns = [rng.randrange(2, 10**k) for k in (3, 6, 9, 12, 15, 18) for _ in range(25)]
+    for n in ns:
+        f = factorize(n)
+        assert dict(f.pairs) == sympy.factorint(n), n
+        assert sigma(f) == int(sympy.divisor_sigma(n)), n
+
+
+def test_spf_factorization_matches_sympy():
+    limit = 10**5 + 1
+    spf = spf_sieve_odd(limit)
+    for n in random.Random(5).sample(range(3, limit + 1, 2), 300) + [limit]:
+        assert factor_odd_with_spf(n, spf) == sorted(sympy.factorint(n).items()), n
