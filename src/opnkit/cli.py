@@ -189,6 +189,9 @@ def _cmd_verify(args) -> int:
     except PrecisionExhaustedError as exc:
         print(f"undecided: suite {args.suite} reached the precision cap: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # a chain limit above CHAIN_LIMIT_MAX
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         print(_dumps(result.to_json_dict()))
     else:

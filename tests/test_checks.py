@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from opnkit import checks
-from opnkit.arith import Factorization, parse_factorization, symmetric_reciprocal_sums
+from opnkit.arith import Factorization, factorize, parse_factorization, symmetric_reciprocal_sums
 from opnkit.bounds import (
     DEFAULT_PRECISION_CAP_BITS,
     Ordering3,
@@ -14,6 +14,7 @@ from opnkit.bounds import (
     decide,
 )
 from opnkit.checks import (
+    CHAIN_LIMIT_MAX,
     PrimeSet,
     check_bound_implication,
     check_exponent_lift,
@@ -316,6 +317,36 @@ def test_run_suite_chain():
     result = run_verify_suite("chain", limit=5000)
     assert result.passed
     assert result.checked == len(range(3, 5001, 2))
+
+
+@pytest.mark.parametrize("limit", [3, 9, 25, 27, 10**4 + 1])
+def test_chain_suite_walks_exactly_the_n_with_a_square_factor(monkeypatch, limit):
+    walked = []
+
+    def recording(pairs):
+        walked.append(prod(p**e for p, e in pairs))
+        return True
+
+    monkeypatch.setattr(checks, "_verify_chain_pairs", recording)
+    result = run_verify_suite("chain", limit=limit)
+    expected = [n for n in range(3, limit + 1, 2) if any(e >= 2 for _, e in factorize(n).pairs)]
+    assert walked == expected
+    assert result.checked == len(range(3, limit + 1, 2))
+    assert result.passed
+
+
+def test_chain_suite_ceiling_checked_before_allocating(monkeypatch):
+    class Allocated(Exception):
+        pass
+
+    def sieve(limit):
+        raise Allocated(limit)
+
+    monkeypatch.setattr(checks, "spf_sieve_odd", sieve)
+    with pytest.raises(ValueError, match="at most"):
+        run_verify_suite("chain", limit=CHAIN_LIMIT_MAX + 1)
+    with pytest.raises(Allocated):  # the ceiling itself passes validation
+        run_verify_suite("chain", limit=CHAIN_LIMIT_MAX)
 
 
 def test_run_suite_deterministic():

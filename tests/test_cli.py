@@ -1,10 +1,11 @@
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from opnkit import scan
+from opnkit import checks, scan
 from opnkit.bounds import DEFAULT_PRECISION_CAP_BITS, PrecisionExhaustedError
 from opnkit.cli import main
 from opnkit.primes import primes_up_to
@@ -122,6 +123,27 @@ def test_verify_chain(capsys):
     code, out, _ = run(capsys, "verify", "chain", "--limit", "20000")
     assert code == 0
     assert "violations: 0" in out
+
+
+def test_verify_chain_lists_violations_in_order(monkeypatch, capsys):
+    failing = {9, 75, 1125}
+    verify = checks._verify_chain_pairs
+    monkeypatch.setattr(
+        checks, "_verify_chain_pairs",
+        lambda pairs: math.prod(p**e for p, e in pairs) not in failing and verify(pairs),
+    )
+    code, out, _ = run(capsys, "verify", "chain", "--limit", "2000")
+    assert code == 1
+    assert out.endswith("violations: 3\n  counterexample: n=9\n  counterexample: n=75\n"
+                        "  counterexample: n=1125\n")
+
+
+def test_verify_chain_limit_above_ceiling_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "spf_sieve_odd", lambda limit: pytest.fail("allocated"))
+    code, out, err = run(capsys, "verify", "chain", "--limit", str(checks.CHAIN_LIMIT_MAX + 1))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_lift_seeded(capsys):
