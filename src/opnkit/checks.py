@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import compress
 from math import comb, isqrt, prod
 
@@ -27,7 +28,7 @@ from .bounds import (
     refined_reciprocal_rhs,
 )
 from .primes import is_prime, primes_up_to
-from .scan import factor_odd_with_spf, spf_sieve_odd
+from .scan import spf_sieve_odd
 
 SUITES = ("lift", "chain", "gmhm", "bounds", "recip", "recip-refined")
 PRIME_SET_MAX_SIZE = 12
@@ -95,18 +96,9 @@ def check_exponent_lift(b: Factorization, prime_index: int, n: int) -> bool:
     return sigma(c) * value(b) > sigma(b) * value(c)
 
 
-def _verify_chain_pairs(pairs) -> bool:
-    v = prod(p for p, _ in pairs)
-    s = prod(p + 1 for p, _ in pairs)
-    for p, e in pairs:
-        if e == 1:
-            continue  # this chain step leaves the number unchanged
-        v_next = v * p ** (e - 1)
-        s_next = s // (p + 1) * ((p ** (e + 1) - 1) // (p - 1))
-        if not s_next * v > s * v_next:  # strict abundancy increase required
-            return False
-        v, s = v_next, s_next
-    return True
+def _chain_step_holds(p: int, e: int) -> bool:
+    """Restoring p**e (e >= 2) raises the abundancy: sigma(p**e) > (p + 1) * p**(e - 1)."""
+    return (p ** (e + 1) - 1) // (p - 1) > (p + 1) * p ** (e - 1)
 
 
 def verify_chain(f: Factorization) -> bool:
@@ -115,7 +107,7 @@ def verify_chain(f: Factorization) -> bool:
     at the steps that restore an exponent >= 2."""
     if not f.pairs:
         raise ValueError("N = 1 has no chain")
-    return _verify_chain_pairs(f.pairs)
+    return all(_chain_step_holds(p, e) for p, e in f.pairs if e > 1)
 
 
 def check_gm_hm_step(ps: PrimeSet, k: int) -> bool:
@@ -246,13 +238,16 @@ def run_verify_suite(
     defaults: up to PRIME_SET_MAX_SIZE primes below PRIME_SET_CAP.
 
     `chain` counts every odd n <= limit as checked and walks those with an
-    odd square factor.  A squarefree n has every exponent 1, so its chain is
-    constant and the walk would make no comparison.  `limit` may not exceed
-    CHAIN_LIMIT_MAX = 10**8, checked before anything is allocated: the spf
-    table takes 4 bytes per n (400 MB there) and the square-factor mark half
-    a byte (50 MB), and about 1 - 8/pi**2 = 19% of the odd n, some 9.5
-    million, are walked at a few microseconds each.  The suite takes 3.7 s
-    at 10**7 on 2 vCPUs, so roughly 45 s at the ceiling.
+    odd square factor (a squarefree n has a constant chain).  Restoring
+    p**e (e >= 2) multiplies v by p**(e - 1) and swaps the factor p + 1 of
+    s = sigma(v) for sigma(p**e); every other prime of n puts the same
+    positive factor on both sides of s_next*v > s*v_next, so the step holds
+    iff sigma(p**e) > (p + 1) * p**(e - 1) whatever the rest of n, and each
+    (p, e) is decided once (218 steps for the 95 thousand n walked at
+    10**6).  `limit` is at most CHAIN_LIMIT_MAX = 10**8, checked before
+    anything is allocated: the spf table over the odd n takes 2 bytes per
+    n and the square-factor mark half a byte.  On 2 vCPUs the suite takes
+    1.2 s at 10**7 and 14-15 s, with 271 MB peak RSS, at the ceiling.
 
     `precision_cap_bits` caps the interval refinements of the `bounds`
     suite, the only one that makes any; a decision the cap leaves open
@@ -283,9 +278,17 @@ def run_verify_suite(
         for p in primes_up_to(isqrt(max(limit, 0)))[1:]:
             # the odd multiples p*p, 3*p*p, 5*p*p, ... lie p*p indices apart
             square_factor[(p * p - 3) // 2 :: p * p] = b"\x01" * len(range(p * p, limit + 1, 2 * p * p))
+        step = cache(_chain_step_holds)  # each (p, e) is decided once, and only for this call
         for n in compress(odd, square_factor):
-            if not _verify_chain_pairs(factor_odd_with_spf(n, spf)):
-                violations.append(f"n={n}")
+            m = n
+            while m > 1:  # factor n from the spf table
+                p = spf[m >> 1] or m
+                m, e = m // p, 1
+                while m % p == 0:
+                    m, e = m // p, e + 1
+                if e > 1 and not step(p, e):
+                    violations.append(f"n={n}")
+                    break
         params = {"limit": limit}
     else:
         for _ in range(trials):

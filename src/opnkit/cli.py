@@ -6,7 +6,7 @@ Exit codes are a stable contract:
   1  audit Refuted, or a verify suite or radical-chain scan found violations
   2  invalid arguments or unparseable factorization
   3  audit Undecided, or a verify suite reached its precision cap
-  4  unreadable checkpoint file, or one written by a different scan
+  4  checkpoint file that cannot be opened or read, or one written by a different scan
   5  internal error: an unexpected exception, reported on one stderr line
 """
 

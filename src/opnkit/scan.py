@@ -207,15 +207,13 @@ def _radical_chain_hits(a: int, b: int) -> list[tuple[int, str]]:
 
 
 def spf_sieve_odd(limit: int) -> array:
-    """Smallest prime factor table for odd n <= limit (0 marks odd primes).
-
-    Each odd prime p <= sqrt(limit) stamps its odd multiples from p*p on;
-    the primes go in descending order, so the smallest factor writes last.
-    """
-    spf = array("i", [0]) * (limit + 1)
+    """Smallest prime factor of each odd n <= limit at index n >> 1 (0 marks
+    odd primes).  Each odd prime p <= sqrt(limit) stamps its odd multiples
+    from p*p on, p indices apart; the primes go in descending order, so the
+    smallest factor writes last."""
+    spf = array("i", [0]) * ((limit + 1) // 2)
     for p in reversed(primes_up_to(math.isqrt(limit))[1:]):
-        start = p * p
-        spf[start :: 2 * p] = array("i", [p]) * len(range(start, limit + 1, 2 * p))
+        spf[p * p >> 1 :: p] = array("i", [p]) * len(range(p * p, limit + 1, 2 * p))
     return spf
 
 
@@ -223,7 +221,7 @@ def factor_odd_with_spf(n: int, spf: array) -> list[tuple[int, int]]:
     """Sorted (prime, exponent) pairs of an odd n >= 3 from an spf table."""
     pairs = []
     while n > 1:
-        p = spf[n] or n
+        p = spf[n >> 1] or n
         e = 0
         while n % p == 0:
             n //= p
@@ -250,12 +248,11 @@ def _read_checkpoint(path, scan: list, nblocks: int) -> tuple[dict[int, list[tup
     of any other scan raises CheckpointError, since its blocks are not this
     scan's blocks."""
     try:
-        with open(path, "rb") as fh:
+        with open(path, "a+b") as fh:  # opened as the scan will append: a missing file is created
+            fh.seek(0)
             data = fh.read()
-    except FileNotFoundError:
-        return {}, 0
     except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
+        raise CheckpointError(f"cannot open checkpoint: {exc}") from exc
     whole = data.rfind(b"\n") + 1
     completed: dict[int, list[tuple[int, str]]] = {}
     for lineno, line in enumerate(data[:whole].splitlines()):

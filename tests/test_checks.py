@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import compress
 from math import comb, prod
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opnkit import checks
-from opnkit.arith import Factorization, factorize, parse_factorization, symmetric_reciprocal_sums
+from opnkit.arith import Factorization, parse_factorization, symmetric_reciprocal_sums
 from opnkit.bounds import (
     DEFAULT_PRECISION_CAP_BITS,
     Ordering3,
@@ -26,6 +29,7 @@ from opnkit.checks import (
     verify_chain,
 )
 from opnkit.interval import nth_root_enclosure
+from opnkit.primes import primes_up_to
 
 NEAR_EQUAL = (100000007, 100000037, 100000039, 100000049)
 
@@ -127,6 +131,52 @@ def test_chain_exhaustive_small():
 
     for n in range(3, 20001, 2):
         assert verify_chain(factorize(n)), n
+
+
+def chain_walk(pairs) -> bool:
+    """Independent oracle for the chain: walk from the radical to n with v
+    and s = sigma(v) carried whole, and cross-multiply at every step that
+    restores an exponent >= 2."""
+    v = prod(p for p, _ in pairs)
+    s = prod(p + 1 for p, _ in pairs)
+    for p, e in pairs:
+        if e == 1:
+            continue  # this chain step leaves the number unchanged
+        v_next = v * p ** (e - 1)
+        s_next = s // (p + 1) * ((p ** (e + 1) - 1) // (p - 1))
+        if not s_next * v > s * v_next:  # strict abundancy increase required
+            return False
+        v, s = v_next, s_next
+    return True
+
+
+def trial_factor(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of an odd n >= 3 by trial division."""
+    pairs, d = [], 3
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            pairs.append((d, e))
+        d += 2
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
+
+
+def test_chain_matches_walk_to_2e4():
+    for n in range(3, 2 * 10**4 + 1, 2):
+        pairs = trial_factor(n)
+        assert verify_chain(Factorization(tuple(pairs))) == chain_walk(pairs), n
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.sampled_from(primes_up_to(10**6)[1:]), st.integers(1, 40), min_size=1, max_size=6))
+def test_chain_matches_walk_on_random_prime_powers(exponents):
+    pairs = sorted(exponents.items())
+    assert verify_chain(Factorization(tuple(pairs))) == chain_walk(pairs)
 
 
 # --- GM-HM steps -------------------------------------------------------------------
@@ -321,18 +371,27 @@ def test_run_suite_chain():
 
 @pytest.mark.parametrize("limit", [3, 9, 25, 27, 10**4 + 1])
 def test_chain_suite_walks_exactly_the_n_with_a_square_factor(monkeypatch, limit):
-    walked = []
+    walked, decided = [], []
 
-    def recording(pairs):
-        walked.append(prod(p**e for p, e in pairs))
-        return True
+    def recording_compress(data, selectors):
+        for n in compress(data, selectors):
+            walked.append(n)
+            yield n
 
-    monkeypatch.setattr(checks, "_verify_chain_pairs", recording)
+    def failing_step(p, e):
+        decided.append((p, e))
+        return False
+
+    expected = [n for n in range(3, limit + 1, 2) if any(e >= 2 for _, e in trial_factor(n))]
+    assert run_verify_suite("chain", limit=limit).passed
+    monkeypatch.setattr(checks, "compress", recording_compress)
+    monkeypatch.setattr(checks, "_chain_step_holds", failing_step)
     result = run_verify_suite("chain", limit=limit)
-    expected = [n for n in range(3, limit + 1, 2) if any(e >= 2 for _, e in factorize(n).pairs)]
     assert walked == expected
+    # every walked n reaches a step, and each (p, e) is decided once per call
+    assert result.violations == [f"n={n}" for n in expected]
+    assert len(decided) == len(set(decided))
     assert result.checked == len(range(3, limit + 1, 2))
-    assert result.passed
 
 
 def test_chain_suite_ceiling_checked_before_allocating(monkeypatch):

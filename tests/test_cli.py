@@ -1,5 +1,4 @@
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -126,16 +125,13 @@ def test_verify_chain(capsys):
 
 
 def test_verify_chain_lists_violations_in_order(monkeypatch, capsys):
-    failing = {9, 75, 1125}
-    verify = checks._verify_chain_pairs
-    monkeypatch.setattr(
-        checks, "_verify_chain_pairs",
-        lambda pairs: math.prod(p**e for p, e in pairs) not in failing and verify(pairs),
-    )
+    holds = checks._chain_step_holds
+    monkeypatch.setattr(checks, "_chain_step_holds", lambda p, e: (p, e) != (3, 2) and holds(p, e))
     code, out, _ = run(capsys, "verify", "chain", "--limit", "2000")
     assert code == 1
-    assert out.endswith("violations: 3\n  counterexample: n=9\n  counterexample: n=75\n"
-                        "  counterexample: n=1125\n")
+    failing = [n for n in range(3, 2001, 2) if n % 9 == 0 and n % 27]  # exactly 3^2 divides n
+    assert out.endswith(f"violations: {len(failing)}\n"
+                        + "".join(f"  counterexample: n={n}\n" for n in failing))
 
 
 def test_verify_chain_limit_above_ceiling_exits_2(monkeypatch, capsys):
@@ -279,6 +275,13 @@ def test_scan_bad_checkpoint(tmp_path, capsys):
     )
     assert code == 4
     assert "checkpoint" in err
+
+
+def test_scan_checkpoint_in_missing_directory_exits_4(tmp_path, capsys):
+    ck = tmp_path / "missing" / "ck.jsonl"
+    code, out, err = run(capsys, "scan", "--lo", "2", "--hi", "10", "--checkpoint", str(ck))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: cannot open checkpoint: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("first, second", [

@@ -89,9 +89,9 @@ def spf_trial(n: int) -> int:
 @pytest.mark.parametrize("limit", [3, 9, 25, 10**4 + 1, 3 * 10**4])
 def test_spf_sieve_matches_trial_division(limit):
     # 9 and 25 are p^2 edges: the first multiple each prime stamps is the limit
+    # the table holds the odd n only: index i stands for n = 2*i + 1
     spf = spf_sieve_odd(limit)
-    expected = [spf_trial(n) if n % 2 else 0 for n in range(limit + 1)]
-    assert list(spf) == expected
+    assert list(spf) == [spf_trial(n) for n in range(1, limit + 1, 2)]
 
 
 def test_factor_with_spf_gives_plain_ints():
