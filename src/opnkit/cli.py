@@ -8,6 +8,9 @@ Exit codes are a stable contract:
   3  audit Undecided, or a verify suite reached its precision cap
   4  checkpoint file that cannot be opened or read, or one written by a different scan
   5  internal error: an unexpected exception, reported on one stderr line
+  141  stdout closed by its reader (as by `| head`) before the output was
+       written; the shell's SIGPIPE status, and nothing more is written.
+       A broken pipe other than stdout is an internal error (5)
 """
 
 from __future__ import annotations
@@ -266,6 +269,19 @@ def _cmd_sk(args) -> int:
     return 0
 
 
+def _stdout_closed() -> bool:
+    """Whether stdout is a pipe whose reader has gone, so a BrokenPipeError
+    came from stdout and not from some other pipe: poll flags its write end."""
+    import select  # only on this error path: the module adds to every run's RSS
+
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+        return any(events & (select.POLLERR | select.POLLHUP) for _, events in poller.poll(0))
+    except (AttributeError, OSError, ValueError):  # no poll, or stdout is not a file
+        return False
+
+
 def main(argv=None) -> int:
     try:
         parser = _build_parser()
@@ -281,8 +297,13 @@ def main(argv=None) -> int:
         "sk": _cmd_sk,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the interpreter's final flush
+        return code
     except Exception as exc:  # a fault of the program, never a verdict: not exit 1
+        if isinstance(exc, BrokenPipeError) and _stdout_closed():  # the reader's doing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the final flush cannot fail again
+            return 141  # 128 + SIGPIPE, the status a shell gives a writer killed by a closed pipe
         message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
         print(f"internal error: {message}", file=sys.stderr)
         return 5

@@ -38,8 +38,9 @@ if TYPE_CHECKING:
 BLOCK_SIZE_DEFAULT = 1 << 16
 MAX_SPAN = 10**9  # most numbers one scan may cover
 PERFECT_HI_MAX = 10**12  # sieve cost per segment grows with sqrt(hi); see scan_perfect
-RADICAL_CHAIN_HI_MAX = 10**9  # int64 cross-products stay exact up to here
+RADICAL_CHAIN_HI_MAX = 10**9  # the range the kernel is derived and tested for (scan_radical_chain)
 _SEGMENT_ELEMS = 1 << 21  # sieve granularity: blocks are batched up to this size
+_STAMP_LEN = 1 << 16  # most entries spf_sieve_odd writes with one slice assignment
 
 PARITIES = ("all", "odd", "even")
 
@@ -154,53 +155,89 @@ def _perfect_hits(a: int, b: int, parity: str) -> list[tuple[int, str]]:
 def _radical_chain_hits(a: int, b: int) -> list[tuple[int, str]]:
     """Odd n in [a, b] where the radical-vs-n abundancy relation fails.
 
-    For odd n the relation is sigma(rad)/(2 rad) < sigma(n)/(2n) when n has
-    a repeated prime factor, with exact equality when n is squarefree.  It
-    is compared cross-multiplied in int64, which is exact for
-    b <= RADICAL_CHAIN_HI_MAX = 10**9: both products sigma(rad)*n and
-    sigma(n)*rad are at most sigma(n)*n, because rad divides n.  Robin's
-    unconditional bound sigma(n)/n < e**gamma*lnln(n) + 0.6483/lnln(n)
-    (n >= 3) grows with n from n = 16 on and gives sigma(n) < 5.62*n at
-    10**9, so sigma(n)*n < 5.62e18 < 2**63; below 16 the products are tiny.
+    For odd n the relation is sigma(rad)/rad < sigma(n)/n when n has a
+    repeated prime factor, with exact equality when n is squarefree.  Since
+    rad divides n, it is compared as sigma(rad)*e against sigma(n), where
+    e = n/rad is 1 exactly when n is squarefree; this is the cross-multiplied
+    sigma(rad)*n against sigma(n)*rad divided by rad.  sigma(n) comes from
+    `_odd_divisor_sums` alone, and rad and sigma(rad) from the primes alone:
+    the odd primes p <= sqrt(b) by one strided pass each, and the one prime
+    factor above sqrt(b) that n may have as n/(srad*e).  e gets a factor p
+    at each multiple of p**k, k >= 2; the prime powers with at most one odd
+    multiple in the window go in one scatter instead, since most powers
+    above sqrt(b) have none or one.
+
+    Every int64 value stays below 5.62*b.  The largest are sigma(n) and
+    sigma(rad)*e, both below 5.62*n: sigma(rad)*e < 5.62*rad*e = 5.62*n by
+    Robin's unconditional bound sigma(m)/m < e**gamma*lnln(m) +
+    0.6483/lnln(m) (m >= 3), which grows with m from m = 16 on and is below
+    5.62 at 10**9, applied to m = rad and m = n (below 16 the values are
+    tiny); the index arithmetic stays below 3*b.  int64 would hold that far
+    past 10**9, so it no longer sets RADICAL_CHAIN_HI_MAX.  A violating n's
+    detail is rebuilt in Python ints: rad = n/e, sigma(rad)*n and
+    sigma(n)*rad, the cross-products the scan has always reported.
     """
     import numpy as np
 
     a |= 1
     if a > b:
         return []
-    ns = np.arange(a, b + 1, 2, dtype=np.int64)
-    spart = np.ones_like(ns)  # product of p**v_p(n) over primes p <= sqrt(b)
-    srad = np.ones_like(ns)  # product of those distinct p
-    sigrad = np.ones_like(ns)  # product of (1 + p)
-    for p in primes_up_to(math.isqrt(b)):
-        if p == 2:
-            continue
-        i0 = (_first_quotient(a, p) * p - a) // 2
-        if i0 >= len(ns):
-            continue
-        srad[i0::p] *= p
-        sigrad[i0::p] *= p + 1
-        pk = p
-        while pk <= b:
-            spart[(_first_quotient(a, pk) * pk - a) // 2 :: pk] *= p
-            pk *= p
-    large = ns // spart
-    big = large > 1
-    rad = srad * np.where(big, large, 1)
-    sigrad = sigrad * np.where(big, large + 1, 1)
+    size = (b - a) // 2 + 1
+
+    def first_index(mods):
+        # index (n - a) // 2 of the first odd multiple n >= a of each modulus
+        return (_first_quotient(a, mods) * mods - a) // 2
+
+    # srad and sigrad: the product of p and of 1 + p over the primes p <= sqrt(b) that divide n
+    srad = np.ones(size, dtype=np.int64)
+    sigrad = np.ones(size, dtype=np.int64)
+    odd = np.array(primes_up_to(math.isqrt(b))[1:], dtype=np.int64)
+    starts = first_index(odd)
+    inside = starts < size
+    strided = list(zip(memoryview(odd[inside]), memoryview(starts[inside])))
+    for p, start in strided:  # one array at a time: two interleaved thrash the cache
+        srad[start::p] *= p
+    for p, start in strided:
+        sigrad[start::p] *= p + 1
+
+    # e = n/rad: the prime p once for each k >= 2 with p**k dividing n
+    bases, powers = [odd], [odd * odd]  # every odd p <= sqrt(b) has p**2 <= b
+    while len(bases[-1]):
+        p, pk = bases[-1], powers[-1]
+        keep = pk <= b // p
+        bases.append(p[keep])
+        powers.append(pk[keep] * p[keep])
+    base, power = np.concatenate(bases), np.concatenate(powers)
+    # a power with two or more odd multiples in the window takes a strided
+    # pass; those with one go in one scatter
+    starts = first_index(power)
+    many = starts + power < size
+    one = ~many & (starts < size)
+    e = np.ones(size, dtype=np.int64)
+    np.multiply.at(e, starts[one], base[one])
+    for p, pk, start in zip(*(memoryview(x[many]) for x in (base, power, starts))):
+        e[start::pk] *= p
+
+    srad *= e  # n divided by its prime factor above sqrt(b), if any
+    cofactor = np.arange(a, b + 1, 2, dtype=np.int64)
+    cofactor //= srad  # that prime factor, or 1
+    del srad
+    cofactor += cofactor > 1
+    sigrad *= cofactor  # sigma(rad)
+    del cofactor
+    sigrad *= e
     sig = _odd_divisor_sums(a, b)
-    lhs = sigrad * ns  # sigma(rad) * n
-    rhs = sig * rad  # sigma(n) * rad
-    squarefree = spart == srad
-    bad = np.where(squarefree, lhs != rhs, lhs >= rhs)
+    # sigma(n) may not fall below sigma(rad)*e, and equals it exactly when e == 1
+    bad = (sig < sigrad) | ((sig == sigrad) != (e == 1))
     out = []
-    for i in np.nonzero(bad)[0]:
-        n = int(ns[i])
+    for i in map(int, np.nonzero(bad)[0]):
+        n, ex = a + 2 * i, int(e[i])
+        rad = n // ex
         out.append(
             (
                 n,
-                f"radical {int(rad[i])}: sigma(rad)*n = {int(lhs[i])} vs "
-                f"sigma(n)*rad = {int(rhs[i])} (squarefree={bool(squarefree[i])})",
+                f"radical {rad}: sigma(rad)*n = {int(sigrad[i]) // ex * n} vs "
+                f"sigma(n)*rad = {int(sig[i]) * rad} (squarefree={ex == 1})",
             )
         )
     return out
@@ -210,24 +247,18 @@ def spf_sieve_odd(limit: int) -> array:
     """Smallest prime factor of each odd n <= limit at index n >> 1 (0 marks
     odd primes).  Each odd prime p <= sqrt(limit) stamps its odd multiples
     from p*p on, p indices apart; the primes go in descending order, so the
-    smallest factor writes last."""
+    smallest factor writes last.  A prime stamps in pieces of at most
+    _STAMP_LEN entries, so no more than that is allocated beside the table."""
     spf = array("i", [0]) * ((limit + 1) // 2)
+    size = len(spf)
     for p in reversed(primes_up_to(math.isqrt(limit))[1:]):
-        spf[p * p >> 1 :: p] = array("i", [p]) * len(range(p * p, limit + 1, 2 * p))
+        first = p * p >> 1
+        stamp = array("i", [p]) * min(len(range(first, size, p)), _STAMP_LEN)
+        step = p * len(stamp)
+        for start in range(first, size, step):
+            stop = min(start + step, size)
+            spf[start:stop:p] = stamp if stop - start == step else stamp[: len(range(start, stop, p))]
     return spf
-
-
-def factor_odd_with_spf(n: int, spf: array) -> list[tuple[int, int]]:
-    """Sorted (prime, exponent) pairs of an odd n >= 3 from an spf table."""
-    pairs = []
-    while n > 1:
-        p = spf[n >> 1] or n
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        pairs.append((p, e))
-    return pairs
 
 
 def _scan_segment(task) -> list[tuple[int, list[tuple[int, str]]]]:
@@ -389,7 +420,14 @@ def scan_radical_chain(
     """Verify, for every odd n in [lo, hi], that n's abundancy strictly
     exceeds its radical's when n is not squarefree (with equality when it
     is).  Violations would disprove the exponent-raising chain argument;
-    none are expected, ever.  `hi` may not exceed RADICAL_CHAIN_HI_MAX."""
+    none are expected, ever.  `hi` may not exceed RADICAL_CHAIN_HI_MAX =
+    10**9.  int64 does not set that ceiling, since the kernel's values stay
+    below 5.62*n (see `_radical_chain_hits`); what does is the range the
+    kernel is derived and tested for: 5.62 is Robin's bound at 10**9, and
+    the tests check rad, sigma(rad) and squarefreeness against trial
+    division up to there.  Raising it means re-deriving that constant and
+    rerunning those tests.  A full 2**21-number segment takes 0.09-0.10 s
+    at 10**8 and 0.12-0.15 s near 10**9 (2 vCPUs, numpy 2.4)."""
     return _run_scan(
         "radical-chain", _radical_chain_hits, RADICAL_CHAIN_HI_MAX, lo, hi, "odd", jobs, block_size, checkpoint
     )

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -326,7 +328,7 @@ def test_scan_radical_chain_violation_exits_1(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--lo", "4000000000", "--hi", "4000200000"],  # above the int64 ceiling
+    ["--lo", "4000000000", "--hi", "4000200000"],  # above the hi ceiling
     ["--lo", "3", "--hi", "1000", "--parity", "even"],
 ])
 def test_scan_radical_chain_rejected(capsys, argv):
@@ -458,3 +460,39 @@ def test_unexpected_exception_exits_5(monkeypatch, capsys):
     assert code == 5
     assert out == ""
     assert err == "internal error: RuntimeError: boom second line\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sk", "3*5*7"],  # short: the write fails at main's flush
+    ["bounds", "-r", "20000"],  # a 12041-digit line: the write fails inside print
+])
+def test_closed_stdout_exits_141(argv):
+    # a reader that closed the pipe, as `| head` does, is not an internal error;
+    # stdout is block-buffered, as it is for a pipe unless PYTHONUNBUFFERED is set
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "opnkit", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+def test_broken_pipe_elsewhere_exits_5():
+    # a BrokenPipeError while stdout is still open is not the reader's doing
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = (
+        "import sys\n"
+        "from opnkit import cli\n"
+        "def broken(args):\n"
+        "    raise BrokenPipeError(32, 'Broken pipe')\n"
+        "cli._cmd_sk = broken\n"
+        "sys.exit(cli.main(['sk', '3*5*7']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 5
+    assert proc.stdout == b""
+    assert proc.stderr == b"internal error: BrokenPipeError: [Errno 32] Broken pipe\n"

@@ -1,11 +1,12 @@
 import json
 import math
 import random
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opnkit import scan
@@ -17,7 +18,7 @@ from opnkit.scan import (
     CheckpointError,
     _count_parity,
     _odd_divisor_sums,
-    factor_odd_with_spf,
+    _radical_chain_hits,
     scan_perfect,
     scan_radical_chain,
     sigma_segment,
@@ -69,11 +70,41 @@ def test_divisor_sums_near_1e9():
         assert every[n - a] == sigma(factorize(n)), n
 
 
+def trial_factor(n: int) -> list[tuple[int, int]]:
+    """Sorted (prime, exponent) pairs of n >= 2 by trial division."""
+    pairs = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            pairs.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
+
+
+def factor_from_spf(n: int, spf) -> list[tuple[int, int]]:
+    """Sorted (prime, exponent) pairs of an odd n >= 3, read from an
+    odd-indexed spf table as the chain suite reads it."""
+    pairs = []
+    while n > 1:
+        p = spf[n >> 1] or n
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        pairs.append((p, e))
+    return pairs
+
+
 def test_spf_sieve_factors():
     spf = spf_sieve_odd(10_001)
-    assert factor_odd_with_spf(945, spf) == [(3, 3), (5, 1), (7, 1)]
-    assert factor_odd_with_spf(9973, spf) == [(9973, 1)]
-    assert factor_odd_with_spf(3**5, spf) == [(3, 5)]
+    for n, pairs in ((945, [(3, 3), (5, 1), (7, 1)]), (9973, [(9973, 1)]), (3**5, [(3, 5)])):
+        assert factor_from_spf(n, spf) == pairs == trial_factor(n)
 
 
 def spf_trial(n: int) -> int:
@@ -94,13 +125,36 @@ def test_spf_sieve_matches_trial_division(limit):
     assert list(spf) == [spf_trial(n) for n in range(1, limit + 1, 2)]
 
 
+@pytest.mark.parametrize("limit", [786439, 10**6 + 1])
+def test_spf_sieve_stamps_in_pieces(limit):
+    # past 2**16 entries a prime stamps in pieces; at 786439 the stamp of 3
+    # is exactly two whole pieces, at 10**6 + 1 it ends in a partial one
+    size = (limit + 1) // 2
+    ref = [0] * size
+    for p in reversed([q for q in range(3, math.isqrt(limit) + 1, 2) if spf_trial(q) == 0]):
+        ref[p * p >> 1 :: p] = [p] * len(range(p * p >> 1, size, p))
+    assert list(spf_sieve_odd(limit)) == ref
+
+
+def test_spf_sieve_memory():
+    # the table at 10**7 is 19.07 MiB; stamping each prime's multiples in one
+    # piece put a third of the table again beside it (25.4 MiB peak)
+    tracemalloc.start()
+    try:
+        spf = spf_sieve_odd(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(spf) * spf.itemsize + 2**20
+
+
 def test_factor_with_spf_gives_plain_ints():
     limit = 3 * 10**4
     spf = spf_sieve_odd(limit)
     for n in range(3, limit + 1, 2):
-        pairs = factor_odd_with_spf(n, spf)
+        pairs = factor_from_spf(n, spf)
         assert all(type(p) is int and type(e) is int for p, e in pairs)
-        assert math.prod(p**e for p, e in pairs) == n
+        assert pairs == trial_factor(n)
 
 
 def test_scan_perfect_classical():
@@ -286,18 +340,96 @@ def test_radical_chain_examples():
 
 
 def test_radical_chain_at_ceiling():
-    # the int64 cross-products are exact up to RADICAL_CHAIN_HI_MAX
+    # the top of the range the kernel is declared for
     rep = scan_radical_chain(RADICAL_CHAIN_HI_MAX - 2 * 10**5 + 1, RADICAL_CHAIN_HI_MAX)
     assert rep.violations == ()
     assert rep.tested_count == 10**5
 
 
 def test_radical_chain_rejects_hi_above_ceiling():
-    # past the ceiling int64 overflows: this window gave 1030 false violations
+    # the ceiling is the range the kernel is tested on, not an int64 limit: its
+    # values stay below 5.62*n; the old cross-products overflowed in this window
     with pytest.raises(ValueError):
         scan_radical_chain(4 * 10**9, 4 * 10**9 + 2 * 10**5)
     with pytest.raises(ValueError):
         scan_radical_chain(RADICAL_CHAIN_HI_MAX - 10, RADICAL_CHAIN_HI_MAX + 1)
+
+
+def sigma_of(pairs) -> int:
+    return math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in pairs)
+
+
+def radical_detail(n: int, sigma_n: int) -> str:
+    """The radical-chain detail of odd n from trial division, given sigma(n)."""
+    pairs = trial_factor(n)
+    rad = math.prod(p for p, _ in pairs)
+    sigma_rad = math.prod(p + 1 for p, _ in pairs)
+    squarefree = all(e == 1 for _, e in pairs)
+    return f"radical {rad}: sigma(rad)*n = {sigma_rad * n} vs sigma(n)*rad = {sigma_n * rad} (squarefree={squarefree})"
+
+
+def test_radical_chain_reports_each_violation(monkeypatch):
+    # sqrt(2001) < 45: 1155 = 3*5*7*11 is squarefree, 45 = 3**2*5 has a square
+    # factor, and 1017 = 3**2*113 has a prime above sqrt(b); each gets a sigma
+    # that breaks the relation, 45 at the boundary sigma(n) = sigma(rad)*n/rad
+    lo, hi = 3, 2001
+    perturbed = {1155: sigma_of(trial_factor(1155)) + 1, 45: 24 * 3, 1017: 4 * 114 * 3 - 1}
+    real = scan._odd_divisor_sums
+
+    def perturbing(a, b):
+        sig = real(a, b)
+        for n, value in perturbed.items():
+            if a <= n <= b:
+                sig[(n - a) // 2] = value
+        return sig
+
+    monkeypatch.setattr(scan, "_odd_divisor_sums", perturbing)
+    rep = scan_radical_chain(lo, hi, block_size=500)
+    assert rep.violations == tuple((n, radical_detail(n, perturbed[n])) for n in sorted(perturbed))
+
+
+@st.composite
+def chain_windows(draw):
+    """[a, b] <= RADICAL_CHAIN_HI_MAX: from a < 15, so small primes are
+    themselves in the window; short, so many primes and powers have at most
+    one odd multiple in it; or within 10**6 of the ceiling."""
+    shape = draw(st.sampled_from(("small", "short", "ceiling")))
+    if shape == "small":
+        a = draw(st.integers(2, 14))
+        return a, draw(st.integers(a, a + 3000))
+    if shape == "short":
+        a = draw(st.integers(2, 10**6))
+        return a, a + draw(st.integers(0, 15014))
+    b = draw(st.integers(RADICAL_CHAIN_HI_MAX - 10**6, RADICAL_CHAIN_HI_MAX))
+    return b - draw(st.integers(0, 120)), b
+
+
+@settings(max_examples=40)
+@given(chain_windows())
+@example((3, 27))  # b = 3**3 itself, the highest power of 3 kept
+@example((999999001, RADICAL_CHAIN_HI_MAX))
+def test_radical_chain_kernel_matches_trial_division(window):
+    # with every sigma(n) set to 0 each odd n is reported, and its detail holds
+    # the kernel's rad, sigma(rad) and squarefree flag
+    a, b = window
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan, "_odd_divisor_sums", lambda a, b: np.zeros((b - a) // 2 + 1, dtype=np.int64))
+        got = _radical_chain_hits(a, b)
+    assert got == [(n, radical_detail(n, 0)) for n in range(a | 1, b + 1, 2)]
+
+
+def test_radical_chain_segment_memory():
+    # one full segment at 10**8 (the shape the benchmark scans) allocates at
+    # most 48 MiB; the kernel that kept n, rad and both cross-products as
+    # int64 arrays peaked at 77 MiB
+    a = 10**8 + 1
+    tracemalloc.start()
+    try:
+        assert _radical_chain_hits(a, a + scan._SEGMENT_ELEMS - 1) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
 
 
 def test_checkpoint_resume(tmp_path):

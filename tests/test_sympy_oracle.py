@@ -8,7 +8,8 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from opnkit.arith import factorize, sigma  # noqa: E402
-from opnkit.scan import factor_odd_with_spf, sigma_segment, spf_sieve_odd  # noqa: E402
+from opnkit.scan import sigma_segment, spf_sieve_odd  # noqa: E402
+from test_scan import factor_from_spf  # noqa: E402
 
 
 @pytest.mark.parametrize(
@@ -42,4 +43,4 @@ def test_spf_factorization_matches_sympy():
     limit = 10**5 + 1
     spf = spf_sieve_odd(limit)
     for n in random.Random(5).sample(range(3, limit + 1, 2), 300) + [limit]:
-        assert factor_odd_with_spf(n, spf) == sorted(sympy.factorint(n).items()), n
+        assert factor_from_spf(n, spf) == sorted(sympy.factorint(n).items()), n
