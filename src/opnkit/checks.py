@@ -247,7 +247,8 @@ def run_verify_suite(
     10**6).  `limit` is at most CHAIN_LIMIT_MAX = 10**8, checked before
     anything is allocated: the spf table over the odd n takes 2 bytes per
     n and the square-factor mark half a byte.  On 2 vCPUs the suite takes
-    1.2 s at 10**7 and 14-15 s, with 271 MB peak RSS, at the ceiling.
+    1.2-1.3 s at 10**7 and 13.6-14.4 s, with 266 MB peak RSS, at the
+    ceiling (three runs).
 
     `precision_cap_bits` caps the interval refinements of the `bounds`
     suite, the only one that makes any; a decision the cap leaves open

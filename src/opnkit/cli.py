@@ -129,13 +129,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bounds(args) -> int:
-    if args.r < 1:
-        print("error: r must be >= 1", file=sys.stderr)
-        return 2
     if args.digits < 1:
         print("error: --digits must be >= 1", file=sys.stderr)
         return 2
-    report = bounds_report(args.r, _digits_to_bits(args.digits))
+    try:
+        report = bounds_report(args.r, _digits_to_bits(args.digits))
+    except ValueError as exc:  # r below 1 or above BOUNDS_R_MAX
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         print(_dumps(report.to_json_dict(args.digits)))
         return 0
@@ -288,7 +289,6 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a malformed OPNKIT_PRECISION_CAP
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    args = parser.parse_args(argv)
     handlers = {
         "bounds": _cmd_bounds,
         "check": _cmd_check,
@@ -297,6 +297,11 @@ def main(argv=None) -> int:
         "sk": _cmd_sk,
     }
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # --help, or a usage error: argparse has written and exits
+            sys.stdout.flush()
+            raise
         code = handlers[args.command](args)
         sys.stdout.flush()  # a closed stdout shows here, not in the interpreter's final flush
         return code

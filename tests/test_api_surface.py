@@ -18,7 +18,9 @@ from opnkit import (
     scan_perfect,
     scan_radical_chain,
 )
+from opnkit import interval
 from opnkit.cli import _build_parser, main
+from opnkit.interval import Dyadic, Interval, to_decimal
 
 PARAMETERS = [
     (audit, ["f", "precision_cap_bits"]),
@@ -28,6 +30,7 @@ PARAMETERS = [
     (scan_perfect, ["lo", "hi", "parity", "jobs", "block_size", "checkpoint"]),
     (scan_radical_chain, ["lo", "hi", "jobs", "block_size", "checkpoint"]),
     (bounds_report, ["r", "precision_bits"]),
+    (to_decimal, ["d", "digits", "up"]),  # the benchmark's tracer wraps it by name
 ]
 
 OPTIONS = {
@@ -42,6 +45,20 @@ OPTIONS = {
 @pytest.mark.parametrize("func, names", PARAMETERS, ids=[f.__name__ for f, _ in PARAMETERS])
 def test_parameter_names(func, names):
     assert list(inspect.signature(func).parameters) == names
+
+
+def test_decimal_pair_goes_through_to_decimal(monkeypatch):
+    # every endpoint rendering passes through interval.to_decimal, where the
+    # benchmark's tracer times it
+    calls = []
+
+    def recording(d, digits, up):
+        calls.append((d, digits, up))
+        return "x"
+
+    monkeypatch.setattr(interval, "to_decimal", recording)
+    assert Interval(Dyadic(1), Dyadic(3), 8).to_decimal_pair(5) == ("x", "x")
+    assert calls == [(Dyadic(1), 5, False), (Dyadic(3), 5, True)]
 
 
 def test_cli_options():

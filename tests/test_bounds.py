@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from opnkit.bounds import (
+    BOUNDS_R_MAX,
     BoundsReport,
     Ordering3,
     bounds_report,
@@ -252,6 +253,24 @@ def test_bounds_report_matches_separate_bounds(monkeypatch):
         monkeypatch.undo()
         assert rep.radical_lb == radical_lower_bound(r, bits)
         assert rep.prime_sum_lb == prime_sum_lower_bound(r, bits)
+
+
+def test_bounds_report_r_ceiling(monkeypatch):
+    import opnkit.bounds as bounds
+
+    # at the ceiling: both lower bounds, rendered, bracket mpmath's values
+    doc = bounds_report(BOUNDS_R_MAX, 25).to_json_dict(5)
+    assert doc["n_upper_bound"] == {"log2": 4**BOUNDS_R_MAX}
+    with mpmath.workprec(200):
+        d = mpmath.mpf(2) ** (mpmath.mpf(1) / BOUNDS_R_MAX) - 1
+        for key, true in (("radical_lower_bound", 1 / d**BOUNDS_R_MAX), ("prime_sum_lower_bound", BOUNDS_R_MAX / d)):
+            lo, hi = (mpmath.mpf(doc[key][end]) for end in ("lo", "hi"))
+            assert lo <= true <= hi
+            assert hi / lo < 1 + mpmath.mpf(10) ** -3
+    # above it: refused before any root of 2 is enclosed
+    monkeypatch.setattr(bounds, "nth_root_enclosure", lambda *args: pytest.fail("enclosure computed"))
+    with pytest.raises(ValueError, match=f"r is at most {BOUNDS_R_MAX}, got {BOUNDS_R_MAX + 1}"):
+        bounds_report(BOUNDS_R_MAX + 1, 25)
 
 
 # --- the refinement loop ----------------------------------------------------------

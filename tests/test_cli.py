@@ -60,6 +60,16 @@ def test_bounds_invalid(capsys):
     assert "error" in err
 
 
+def test_bounds_above_r_ceiling(capsys, monkeypatch):
+    from opnkit import bounds
+
+    monkeypatch.setattr(bounds, "nth_root_enclosure", lambda *args: pytest.fail("enclosure computed"))
+    code, out, err = run(capsys, "bounds", "-r", str(bounds.BOUNDS_R_MAX + 1), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: r is at most {bounds.BOUNDS_R_MAX}, got {bounds.BOUNDS_R_MAX + 1}\n"
+
+
 # --- check ----------------------------------------------------------------------
 
 
@@ -465,6 +475,7 @@ def test_unexpected_exception_exits_5(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["sk", "3*5*7"],  # short: the write fails at main's flush
     ["bounds", "-r", "20000"],  # a 12041-digit line: the write fails inside print
+    ["--help"],  # argparse writes the help, then exits from inside parse_args
 ])
 def test_closed_stdout_exits_141(argv):
     # a reader that closed the pipe, as `| head` does, is not an internal error;

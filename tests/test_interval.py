@@ -1,18 +1,19 @@
 import contextlib
+import math
 import random
 import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import opnkit.interval as interval
+from opnkit.bounds import bounds_report
 from opnkit.interval import (
     Dyadic,
     Interval,
     _round_mant,
-    decimal_exponent,
     digit_string,
     div_dir,
     fraction_to_dyadic,
@@ -135,14 +136,6 @@ def test_fraction_to_dyadic_directed():
     assert exact == fraction_to_dyadic(Fraction(5, 8), 40, up=True)
 
 
-def test_decimal_exponent():
-    assert decimal_exponent(Fraction(1)) == 0
-    assert decimal_exponent(Fraction(999)) == 2
-    assert decimal_exponent(Fraction(1000)) == 3
-    assert decimal_exponent(Fraction(1, 1000)) == -3
-    assert decimal_exponent(Fraction(9999, 10000)) == -1
-
-
 def test_to_decimal_directed():
     d = Dyadic(1, -1)  # 0.5
     assert to_decimal(d, 3, up=False) == "5.00e-1"
@@ -176,6 +169,104 @@ def test_to_decimal_brackets_value(mant, exp, digits):
         m, e = s.split("e")
         return Fraction(m) * Fraction(10) ** int(e)
     assert parse(lo) <= x <= parse(hi)
+
+
+# --- the renderer against the exact one it replaced ------------------------------
+
+
+def exact_decimal_exponent(x):
+    """floor(log10(x)) for a Fraction x > 0, from exact powers of ten."""
+    num, den = x.numerator, x.denominator
+    e = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    while 10**max(e + 1, 0) * den <= num * 10**max(-(e + 1), 0):
+        e += 1
+    while 10**max(e, 0) * den > num * 10**max(-e, 0):
+        e -= 1
+    return e
+
+
+def exact_to_decimal(d, digits, up):
+    """The rendering through the exact rational and full powers of ten."""
+    if d.mant == 0:
+        return "0"
+    if d.mant < 0:
+        return "-" + exact_to_decimal(-d, digits, not up)
+    x = d.as_fraction()
+    e10 = exact_decimal_exponent(x)
+    shift = digits - 1 - e10
+    num, den = x.numerator, x.denominator
+    if shift >= 0:
+        num *= 10**shift
+    else:
+        den *= 10**-shift
+    q, rest = divmod(num, den)
+    if up and rest:
+        q += 1
+    if q >= 10**digits:
+        q //= 10
+        e10 += 1
+    s = digit_string(q, digits)
+    return f"{s}e{e10}" if digits == 1 else f"{s[0]}.{s[1:]}e{e10}"
+
+
+def assert_renders_like_exact(d, digits):
+    for up in (False, True):
+        assert to_decimal(d, digits, up) == exact_to_decimal(d, digits, up), (d, digits, up)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 20000), st.integers(1, 200), st.sampled_from([None, 64, 256]))
+@example(r=1, digits=1, bits=None)
+@example(r=20000, digits=1, bits=None)
+@example(r=20000, digits=200, bits=64)
+@example(r=7, digits=200, bits=None)
+def test_to_decimal_matches_exact_on_bound_endpoints(r, digits, bits):
+    # the table's own precision (as `opnkit bounds --digits` asks), or a fixed one
+    report = bounds_report(r, bits or math.ceil(digits * math.log2(10)) + 8)
+    for iv in (report.radical_lb, report.prime_sum_lb):
+        assert_renders_like_exact(iv.lo, digits)
+        assert_renders_like_exact(iv.hi, digits)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 2**2000).flatmap(lambda m: st.sampled_from([m, -m])),
+    st.integers(-600, 600),
+    st.integers(1, 60),
+)
+def test_to_decimal_matches_exact_on_random_dyadics(mant, exp, digits):
+    assert_renders_like_exact(Dyadic(mant, exp), digits)
+
+
+def test_to_decimal_edge_cases_match_exact():
+    # short decimals, whose scaled value is an integer, near 1 and far from it
+    shorts = [Dyadic(1), Dyadic(5, -3), Dyadic(125, -3), Dyadic(-5, -3), Dyadic(1, -60)]
+    shorts += [Dyadic(10**k) for k in (1, 2, 7, 30, 300, 5000)]
+    shorts += [Dyadic(3 * 5**k, k) for k in (40, 700)]  # 3 * 10**k
+    shorts += [Dyadic(3 * 5**k + 2, k) for k in (40, 700)]  # 5**k does not divide it
+    for d in shorts:
+        for digits in (1, 2, 3, 20, 60):
+            assert_renders_like_exact(d, digits)
+    # 10**k - 1 rounded up at fewer than k digits carries into the next decade
+    for k in (1, 2, 5, 30, 300, 5000):
+        for digits in {1, 2, k}:
+            assert_renders_like_exact(Dyadic(10**k - 1), digits)
+    assert to_decimal(Dyadic(10**5000 - 1), 1, up=True) == "1e5000"
+    assert to_decimal(Dyadic(10**5000 - 1), 1, up=False) == "9e4999"
+    assert to_decimal(Dyadic(10**5000 - 1), 5000, up=True) == "9." + "9" * 4999 + "e4999"
+    # far from 1, with the scaled value within 2**-m of an integer (1, or 10
+    # from below): the first bracket straddles it and must be refined
+    for k in (300, 5000):
+        for m in (80, 200, 1000):
+            for sign in (1, -1):
+                assert_renders_like_exact(Dyadic(10**k * 2**m + sign * 10**k // 3, -m), 1)
+                assert_renders_like_exact(Dyadic(10**k * 2**m + sign, -m), 2)
+    assert to_decimal(Dyadic(0), 1, up=False) == "0"
+    assert to_decimal(Dyadic(1), 1, up=True) == "1e0"
+    assert to_decimal(Dyadic(5, -3), 1, up=True) == "7e-1"
+    assert to_decimal(Dyadic(125, -3), 3, up=False) == "1.56e1"
+    with pytest.raises(ValueError):
+        to_decimal(Dyadic(1), 0, up=False)
 
 
 @contextlib.contextmanager
