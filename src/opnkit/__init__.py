@@ -1,29 +1,22 @@
 """opnkit: exact and certified-interval arithmetic around odd perfect numbers.
 
-Divisor-theoretic quantities (divisor sum, radical, abundancy, reciprocal
-symmetric sums) are computed exactly over certified prime factorizations;
-the irrational lower bounds in the number of distinct prime factors are
-evaluated with outward-rounded dyadic intervals; and a constraint battery
-audits candidate factorizations against the classical necessary conditions
-for odd perfect numbers.
+Divisor sums and the elementary symmetric polynomials of the primes are
+computed exactly over certified prime factorizations, which every command
+takes as its input and never has to find; the irrational lower bounds in
+the number of distinct prime factors are evaluated with outward-rounded
+dyadic intervals; and a constraint battery audits candidate
+factorizations against the classical necessary conditions for odd
+perfect numbers.
 """
 
 from .arith import (
-    Classification,
     Factorization,
     NonPrimeFactorError,
     ParseError,
-    abundancy,
-    classify,
     elementary_symmetric,
-    factorize,
     parse_factorization,
-    prime_sum,
-    radical,
-    reciprocal_sum,
     render,
     sigma,
-    symmetric_reciprocal_sums,
     value,
 )
 from .bounds import (
@@ -49,7 +42,6 @@ from .checks import (
     check_refined_reciprocal_implication,
     random_prime_set,
     run_verify_suite,
-    verify_chain,
 )
 from .constraints import (
     ConstraintReport,
@@ -64,21 +56,13 @@ from .primes import is_prime
 from .scan import CheckpointError, ScanReport, scan_perfect, scan_radical_chain
 
 __all__ = [
-    "Classification",
     "Factorization",
     "NonPrimeFactorError",
     "ParseError",
-    "abundancy",
-    "classify",
     "elementary_symmetric",
-    "factorize",
     "parse_factorization",
-    "prime_sum",
-    "radical",
-    "reciprocal_sum",
     "render",
     "sigma",
-    "symmetric_reciprocal_sums",
     "value",
     "BoundsReport",
     "Ordering3",
@@ -100,7 +84,6 @@ __all__ = [
     "check_refined_reciprocal_implication",
     "random_prime_set",
     "run_verify_suite",
-    "verify_chain",
     "ConstraintReport",
     "ConstraintVerdict",
     "Overall",

@@ -2,28 +2,20 @@
 
 The central type is `Factorization`: an ordered tuple of (prime, exponent)
 pairs whose primality is checked at construction time, so everything
-downstream may trust it.  All derived quantities (divisor sum, radical,
-abundancy, reciprocal symmetric sums) are computed exactly with integers
-and `fractions.Fraction`; nothing here ever rounds.
+downstream may trust it.  Parsing and rendering, the value, the divisor
+sum and the elementary symmetric polynomials are computed exactly with
+integers; nothing here ever rounds.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
 from math import prod
 
-from .primes import factor_pairs, is_prime
+from .primes import is_prime
 
 MAX_EXPONENT = 2**32 - 1
-
-
-class Classification(Enum):
-    DEFICIENT = "deficient"
-    PERFECT = "perfect"
-    ABUNDANT = "abundant"
 
 
 class ParseError(ValueError):
@@ -66,14 +58,6 @@ class Factorization:
             last = p
 
     @classmethod
-    def from_pairs(cls, pairs) -> "Factorization":
-        """Canonicalize arbitrary (prime, exponent) pairs: merge and sort."""
-        counts: dict[int, int] = {}
-        for p, e in pairs:
-            counts[p] = counts.get(p, 0) + e
-        return cls(tuple(sorted(counts.items())))
-
-    @classmethod
     def _from_checked(cls, pairs) -> "Factorization":
         # skips validation: callers must pass canonical int pairs whose
         # primes they have already tested
@@ -84,13 +68,6 @@ class Factorization:
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
-
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(e for _, e in self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 def parse_factorization(text: str) -> Factorization:
@@ -178,33 +155,6 @@ def sigma(f: Factorization) -> int:
     return prod((p ** (e + 1) - 1) // (p - 1) for p, e in f.pairs)
 
 
-def radical(f: Factorization) -> int:
-    """Product of the distinct primes (squarefree kernel)."""
-    return prod(f.primes)
-
-
-def prime_sum(f: Factorization) -> int:
-    """Sum of the distinct primes; 0 for the empty factorization."""
-    return sum(f.primes)
-
-
-def abundancy(f: Factorization) -> Fraction:
-    """sigma(N) / (2N), exact and reduced; equals 1 exactly for perfect N."""
-    return Fraction(sigma(f), 2 * value(f))
-
-
-def classify(f: Factorization) -> Classification:
-    s, twice = sigma(f), 2 * value(f)
-    if s == twice:
-        return Classification.PERFECT
-    return Classification.ABUNDANT if s > twice else Classification.DEFICIENT
-
-
-def reciprocal_sum(f: Factorization) -> Fraction:
-    """Exact sum of 1/p over the distinct primes."""
-    return sum((Fraction(1, p) for p in f.primes), Fraction(0))
-
-
 def elementary_symmetric(values: tuple[int, ...] | list[int]) -> list[int]:
     """[e_0, e_1, ..., e_r] for the given integers, e_0 = 1.
 
@@ -217,19 +167,3 @@ def elementary_symmetric(values: tuple[int, ...] | list[int]) -> list[int]:
             coeffs[j] += v * coeffs[j - 1]
     return coeffs
 
-
-def symmetric_reciprocal_sums(f: Factorization) -> list[Fraction]:
-    """[S_1, ..., S_r] where S_k sums 1/(product of each k-subset of primes).
-
-    Computed from the integer elementary symmetric polynomials of the primes:
-    S_k = e_{r-k} / e_r, avoiding the 2**r subset walk.
-    """
-    primes = f.primes
-    r = len(primes)
-    coeffs = elementary_symmetric(primes)
-    return [Fraction(coeffs[r - k], coeffs[r]) for k in range(1, r + 1)]
-
-
-def factorize(n: int) -> Factorization:
-    """Certified factorization of n >= 1 (empty for n = 1)."""
-    return Factorization(factor_pairs(n))

@@ -101,15 +101,6 @@ def _chain_step_holds(p: int, e: int) -> bool:
     return (p ** (e + 1) - 1) // (p - 1) > (p + 1) * p ** (e - 1)
 
 
-def verify_chain(f: Factorization) -> bool:
-    """Walk from the radical back to N, restoring one exponent at a time,
-    and confirm the abundancy never decreases, increasing strictly exactly
-    at the steps that restore an exponent >= 2."""
-    if not f.pairs:
-        raise ValueError("N = 1 has no chain")
-    return all(_chain_step_holds(p, e) for p, e in f.pairs if e > 1)
-
-
 def check_gm_hm_step(ps: PrimeSet, k: int) -> bool:
     """Strict inequality S_k > C(r,k) * radical**(-k/r) for the k-th
     reciprocal symmetric sum of the prime set.

@@ -78,21 +78,9 @@ class Dyadic:
             return Dyadic(other)
         return NotImplemented  # type: ignore[return-value]
 
-    def __lt__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else self._cmp(other) < 0
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else self._cmp(other) <= 0
-
     def __gt__(self, other):
         other = self._coerce(other)
         return NotImplemented if other is NotImplemented else self._cmp(other) > 0
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else self._cmp(other) >= 0
 
     def cmp_fraction(self, x: Fraction) -> int:
         """Exact three-way comparison against any rational (or int).
@@ -126,9 +114,6 @@ class Dyadic:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "Dyadic":
-        return (-self) + other
 
     def __mul__(self, other) -> "Dyadic":
         other = self._coerce(other)
@@ -169,11 +154,6 @@ def pow_dir(a: Dyadic, n: int, bits: int, up: bool) -> Dyadic:
         if n:
             bm, be = _round_mant(bm * bm, be + be, bits, up)
     return Dyadic(rm, re)
-
-
-def fraction_to_dyadic(x: Fraction, bits: int, up: bool) -> Dyadic:
-    """Directed dyadic approximation of a rational (exact when it is dyadic)."""
-    return div_dir(Dyadic(x.numerator), Dyadic(x.denominator), bits, up)
 
 
 def decimal_digits(x: int) -> int:
@@ -338,15 +318,6 @@ class Interval:
         d = v if isinstance(v, Dyadic) else Dyadic(v)
         return cls(d, d, precision_bits)
 
-    def width(self) -> Dyadic:
-        return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        if isinstance(x, Dyadic):
-            return self.lo <= x <= self.hi
-        x = Fraction(x)
-        return self.lo.cmp_fraction(x) <= 0 <= self.hi.cmp_fraction(x)
-
     def to_decimal_pair(self, digits: int = 50) -> tuple[str, str]:
         return to_decimal(self.lo, digits, up=False), to_decimal(self.hi, digits, up=True)
 
@@ -445,12 +416,6 @@ def nth_root_enclosure(t, k: int, precision_bits: int) -> Interval:
         raise ValueError("root index must be >= 1")
     if precision_bits < 1:
         raise ValueError("precision_bits must be positive")
-    if k == 1:
-        return Interval(
-            fraction_to_dyadic(t, precision_bits + 16, up=False),
-            fraction_to_dyadic(t, precision_bits + 16, up=True),
-            precision_bits,
-        )
     work = precision_bits + 16
     while True:
         cand = _root_newton(t, k, work)

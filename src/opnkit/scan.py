@@ -39,7 +39,7 @@ BLOCK_SIZE_DEFAULT = 1 << 16
 MAX_SPAN = 10**9  # most numbers one scan may cover
 PERFECT_HI_MAX = 10**12  # sieve cost per segment grows with sqrt(hi); see scan_perfect
 RADICAL_CHAIN_HI_MAX = 10**9  # the range the kernel is derived and tested for (scan_radical_chain)
-_SEGMENT_ELEMS = 1 << 21  # sieve granularity: blocks are batched up to this size
+_SEGMENT_ELEMS = 1 << 21  # sieve granularity: blocks are batched up to this size, larger ones cut to it
 _STAMP_LEN = 1 << 16  # most entries spf_sieve_odd writes with one slice assignment
 
 PARITIES = ("all", "odd", "even")
@@ -264,8 +264,10 @@ def spf_sieve_odd(limit: int) -> array:
 def _scan_segment(task) -> list[tuple[int, list[tuple[int, str]]]]:
     hits, seg_lo, seg_hi, lo, block_size = task
     per_block: dict[int, list[tuple[int, str]]] = {}
-    for n, detail in hits(seg_lo, seg_hi):
-        per_block.setdefault((n - lo) // block_size, []).append((n, detail))
+    # a block larger than _SEGMENT_ELEMS is sieved that many numbers at a time
+    for a in range(seg_lo, seg_hi + 1, _SEGMENT_ELEMS):
+        for n, detail in hits(a, min(a + _SEGMENT_ELEMS - 1, seg_hi)):
+            per_block.setdefault((n - lo) // block_size, []).append((n, detail))
     first = (seg_lo - lo) // block_size
     last = (seg_hi - lo) // block_size
     return [(i, per_block.get(i, [])) for i in range(first, last + 1)]

@@ -1,7 +1,9 @@
-"""The settable surface of the entry points and of the CLI, pinned.
+"""The exported names, the settable surface of the entry points and the CLI
+options, pinned.
 
-Each parameter or option is one more configuration that the tests and the
-benchmark must cover, so adding one takes a deliberate edit here.
+Each exported name is public API to keep working, and each parameter or
+option is one more configuration that the tests and the benchmark must
+cover, so adding one takes a deliberate edit here.
 """
 
 import argparse
@@ -9,6 +11,7 @@ import inspect
 
 import pytest
 
+import opnkit
 from opnkit import (
     audit,
     bounds_report,
@@ -21,6 +24,51 @@ from opnkit import (
 from opnkit import interval
 from opnkit.cli import _build_parser, main
 from opnkit.interval import Dyadic, Interval, to_decimal
+
+EXPORTS = [
+    "BoundsReport",
+    "CheckpointError",
+    "ConstraintReport",
+    "ConstraintVerdict",
+    "Dyadic",
+    "Factorization",
+    "Interval",
+    "NonPrimeFactorError",
+    "Ordering3",
+    "Overall",
+    "ParseError",
+    "PowerOfTwo",
+    "PrecisionExhaustedError",
+    "PrimeSet",
+    "ScanReport",
+    "SuiteResult",
+    "Verdict",
+    "audit",
+    "bounds_report",
+    "check_bound_implication",
+    "check_exponent_lift",
+    "check_gm_hm_step",
+    "check_reciprocal_implication",
+    "check_refined_reciprocal_implication",
+    "compare_rational_to_bound",
+    "decide",
+    "elementary_symmetric",
+    "explain",
+    "is_prime",
+    "nielsen_upper_bound",
+    "nth_root_enclosure",
+    "parse_factorization",
+    "prime_sum_lower_bound",
+    "radical_lower_bound",
+    "random_prime_set",
+    "refined_reciprocal_rhs",
+    "render",
+    "run_verify_suite",
+    "scan_perfect",
+    "scan_radical_chain",
+    "sigma",
+    "value",
+]
 
 PARAMETERS = [
     (audit, ["f", "precision_cap_bits"]),
@@ -40,6 +88,12 @@ OPTIONS = {
     "scan": ["--kind", "--lo", "--hi", "--parity", "--jobs", "--block-size", "--checkpoint", "--format"],
     "sk": ["factorization", "--format"],
 }
+
+
+def test_package_exports():
+    assert sorted(opnkit.__all__) == EXPORTS
+    public = {name for name, obj in vars(opnkit).items() if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public == set(EXPORTS)
 
 
 @pytest.mark.parametrize("func, names", PARAMETERS, ids=[f.__name__ for f, _ in PARAMETERS])

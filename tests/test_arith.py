@@ -6,23 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opnkit.arith import (
-    Classification,
     Factorization,
     NonPrimeFactorError,
     ParseError,
-    abundancy,
-    classify,
-    factorize,
+    elementary_symmetric,
     parse_factorization,
-    prime_sum,
-    radical,
-    reciprocal_sum,
     render,
     sigma,
-    symmetric_reciprocal_sums,
     value,
 )
 from opnkit.primes import primes_up_to
+from trial_division import trial_factor
 
 
 def sigma_brute(n: int) -> int:
@@ -145,50 +139,23 @@ def test_sigma_examples():
     assert sigma(Factorization(())) == 1
 
 
-def test_radical_and_prime_sum():
-    f = parse_factorization("3^3*5*7")
-    assert radical(f) == 105
-    assert prime_sum(f) == 15
-    assert radical(Factorization(())) == 1
-    assert prime_sum(Factorization(())) == 0
-    assert radical(parse_factorization("3^2*5^2")) == 15
-    assert prime_sum(parse_factorization("3")) == 3
-
-
-def test_abundancy_examples():
-    assert abundancy(parse_factorization("2^2*7")) == 1
-    assert abundancy(parse_factorization("3*5")) == Fraction(4, 5)
-    assert abundancy(parse_factorization("3^3*5*7")) == Fraction(1920, 1890) == Fraction(64, 63)
-
-
-def test_classify_examples():
-    assert classify(parse_factorization("2^2*7")) is Classification.PERFECT
-    assert classify(parse_factorization("3^3*5*7")) is Classification.ABUNDANT
-    assert classify(parse_factorization("3")) is Classification.DEFICIENT
-
-
-def test_classify_iff_abundancy_one():
-    for n in range(2, 2000):
-        f = factorize(n)
-        assert (abundancy(f) == 1) == (classify(f) is Classification.PERFECT)
-
-
-def test_reciprocal_sum_examples():
-    assert reciprocal_sum(parse_factorization("3*5*7")) == Fraction(71, 105)
-    assert reciprocal_sum(parse_factorization("3")) == Fraction(1, 3)
-    assert reciprocal_sum(Factorization(())) == Fraction(0, 1)
+def reciprocal_sums(primes) -> list[Fraction]:
+    """[S_1, ..., S_r] from the elementary symmetric polynomials, S_k = e_(r-k) / e_r."""
+    coeffs = elementary_symmetric(primes)
+    r = len(primes)
+    return [Fraction(coeffs[r - k], coeffs[r]) for k in range(1, r + 1)]
 
 
 def test_symmetric_sums_example():
-    got = symmetric_reciprocal_sums(parse_factorization("3*5*7"))
-    assert got == [Fraction(71, 105), Fraction(1, 7), Fraction(1, 105)]
-    assert symmetric_reciprocal_sums(parse_factorization("3")) == [Fraction(1, 3)]
+    assert elementary_symmetric((3, 5, 7)) == [1, 15, 71, 105]
+    assert reciprocal_sums((3, 5, 7)) == [Fraction(71, 105), Fraction(1, 7), Fraction(1, 105)]
+    assert reciprocal_sums((3,)) == [Fraction(1, 3)]
+    assert elementary_symmetric(()) == [1]
 
 
 def test_symmetric_sums_against_subset_oracle():
     primes = (3, 7, 11, 19, 29)
-    f = Factorization(tuple((p, 1) for p in primes))
-    got = symmetric_reciprocal_sums(f)
+    got = reciprocal_sums(primes)
     for k in range(1, len(primes) + 1):
         assert got[k - 1] == sk_brute(primes, k)
 
@@ -196,23 +163,18 @@ def test_symmetric_sums_against_subset_oracle():
 def test_expansion_identity():
     # prod(1 + p) == radical * (1 + sum S_k), exactly
     for text in ("3*5*7", "3^4*11", "5^2*13^3*17", "3"):
-        f = parse_factorization(text)
-        lhs = math.prod(p + 1 for p in f.primes)
-        rhs = radical(f) * (1 + sum(symmetric_reciprocal_sums(f), Fraction(0)))
+        primes = parse_factorization(text).primes
+        lhs = math.prod(p + 1 for p in primes)
+        rhs = math.prod(primes) * (1 + sum(reciprocal_sums(primes), Fraction(0)))
         assert lhs == rhs
 
 
-# --- factorize ----------------------------------------------------------------
-
-
-def test_factorize_examples():
-    assert factorize(945).pairs == ((3, 3), (5, 1), (7, 1))
-    assert factorize(1).pairs == ()
+# --- sigma over factorizations found by trial division ------------------------
 
 
 def test_sigma_oracle_small():
     for n in range(1, 3000):
-        assert sigma(factorize(n)) == sigma_brute(n)
+        assert sigma(Factorization(trial_factor(n))) == sigma_brute(n)
 
 
 def test_multiplicativity_random():
@@ -225,15 +187,8 @@ def test_multiplicativity_random():
         chosen = rng.sample(pool, 2 * k)
         left = Factorization(tuple(sorted((p, rng.randint(1, 5)) for p in chosen[:k])))
         right = Factorization(tuple(sorted((p, rng.randint(1, 5)) for p in chosen[k:])))
-        merged = Factorization.from_pairs(left.pairs + right.pairs)
+        merged = Factorization(tuple(sorted(left.pairs + right.pairs)))
         assert sigma(merged) == sigma(left) * sigma(right)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 10**9))
-def test_factorize_roundtrip(n):
-    f = factorize(n)
-    assert value(f) == n
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 from math import comb, prod
 
 import mpmath
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opnkit import checks
-from opnkit.arith import Factorization, parse_factorization, symmetric_reciprocal_sums
+from opnkit.arith import Factorization, elementary_symmetric, parse_factorization, sigma, value
 from opnkit.bounds import (
     DEFAULT_PRECISION_CAP_BITS,
     Ordering3,
@@ -19,6 +19,7 @@ from opnkit.bounds import (
 from opnkit.checks import (
     CHAIN_LIMIT_MAX,
     PrimeSet,
+    _chain_step_holds,
     check_bound_implication,
     check_exponent_lift,
     check_gm_hm_step,
@@ -26,12 +27,19 @@ from opnkit.checks import (
     check_refined_reciprocal_implication,
     random_prime_set,
     run_verify_suite,
-    verify_chain,
 )
 from opnkit.interval import nth_root_enclosure
 from opnkit.primes import primes_up_to
+from trial_division import trial_factor
 
 NEAR_EQUAL = (100000007, 100000037, 100000039, 100000049)
+
+
+def s_k_by_subsets(primes, k) -> Fraction:
+    """S_k, the sum of 1/prod(T) over the k-subsets T of the primes, by
+    enumerating the subsets."""
+    rad = prod(primes)
+    return Fraction(sum(rad // prod(t) for t in combinations(primes, k)), rad)
 
 
 def gm_hm_exact(primes, k) -> int:
@@ -42,8 +50,7 @@ def gm_hm_exact(primes, k) -> int:
     Returns the sign of the difference.
     """
     r = len(primes)
-    f = Factorization(tuple((p, 1) for p in primes))
-    s_k = symmetric_reciprocal_sums(f)[k - 1]
+    s_k = s_k_by_subsets(primes, k)
     a = prod(primes)
     lhs = s_k**r * a**k
     rhs = Fraction(comb(r, k)) ** r
@@ -107,17 +114,21 @@ def test_lift_randomized():
 # --- chain -----------------------------------------------------------------------
 
 
+def steps_hold(pairs) -> bool:
+    """The chain suite's verdict on n: `_chain_step_holds` at each (p, e) with e >= 2."""
+    return all(_chain_step_holds(p, e) for p, e in pairs if e > 1)
+
+
 def test_chain_examples():
-    assert verify_chain(parse_factorization("3^3*5*7"))
-    assert verify_chain(parse_factorization("3*5*7"))  # squarefree: constant chain
-    assert verify_chain(parse_factorization("3^2"))
-    with pytest.raises(ValueError):
-        verify_chain(Factorization(()))
+    assert steps_hold([(3, 3), (5, 1), (7, 1)])
+    assert steps_hold([(3, 1), (5, 1), (7, 1)])  # squarefree: constant chain
+    assert steps_hold([(3, 2)])
 
 
 def test_chain_strictness_detail():
     # for 945 = 3^3*5*7 the only strict step is the one restoring 3^3
-    from opnkit.arith import abundancy
+    def abundancy(f):
+        return Fraction(sigma(f), 2 * value(f))
 
     rad = parse_factorization("3*5*7")
     full = parse_factorization("3^3*5*7")
@@ -127,10 +138,8 @@ def test_chain_strictness_detail():
 
 
 def test_chain_exhaustive_small():
-    from opnkit.arith import factorize
-
     for n in range(3, 20001, 2):
-        assert verify_chain(factorize(n)), n
+        assert steps_hold(trial_factor(n)), n
 
 
 def chain_walk(pairs) -> bool:
@@ -150,33 +159,17 @@ def chain_walk(pairs) -> bool:
     return True
 
 
-def trial_factor(n: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of an odd n >= 3 by trial division."""
-    pairs, d = [], 3
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            pairs.append((d, e))
-        d += 2
-    if n > 1:
-        pairs.append((n, 1))
-    return pairs
-
-
 def test_chain_matches_walk_to_2e4():
     for n in range(3, 2 * 10**4 + 1, 2):
         pairs = trial_factor(n)
-        assert verify_chain(Factorization(tuple(pairs))) == chain_walk(pairs), n
+        assert steps_hold(pairs) == chain_walk(pairs), n
 
 
 @settings(max_examples=200)
 @given(st.dictionaries(st.sampled_from(primes_up_to(10**6)[1:]), st.integers(1, 40), min_size=1, max_size=6))
 def test_chain_matches_walk_on_random_prime_powers(exponents):
     pairs = sorted(exponents.items())
-    assert verify_chain(Factorization(tuple(pairs))) == chain_walk(pairs)
+    assert steps_hold(pairs) == chain_walk(pairs)
 
 
 # --- GM-HM steps -------------------------------------------------------------------
@@ -222,8 +215,8 @@ def certified_gm_hm(primes, k) -> Ordering3:
     """Reference verdict from a certified root: S_k against the enclosure of
     (C(r,k)**r / radical**k)**(1/r), refined until it excludes S_k."""
     r = len(primes)
-    f = Factorization(tuple((p, 1) for p in primes))
-    s_k = symmetric_reciprocal_sums(f)[k - 1]
+    coeffs = elementary_symmetric(primes)
+    s_k = Fraction(coeffs[r - k], coeffs[r])
     t = Fraction(comb(r, k) ** r, prod(primes) ** k)
     order, _ = decide(s_k, lambda bits: nth_root_enclosure(t, r, bits), 1 << 16)
     return order
@@ -245,10 +238,10 @@ def test_gm_hm_against_mpmath():
     with mpmath.workdps(250):
         for ps in sets + [PrimeSet(NEAR_EQUAL)]:
             r = len(ps)
-            s_sums = symmetric_reciprocal_sums(Factorization(tuple((p, 1) for p in ps.primes)))
             rad = mpmath.mpf(prod(ps.primes))
             for k in range(1, r):
-                s_k = mpmath.mpf(s_sums[k - 1].numerator) / s_sums[k - 1].denominator
+                s_exact = s_k_by_subsets(ps.primes, k)
+                s_k = mpmath.mpf(s_exact.numerator) / s_exact.denominator
                 gap = s_k - comb(r, k) * rad ** (-mpmath.mpf(k) / r)
                 assert abs(gap) > s_k * mpmath.mpf(10) ** -200  # the sign is meaningful
                 assert check_gm_hm_step(ps, k) == (gap > 0), (ps.primes, k)

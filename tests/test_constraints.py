@@ -7,7 +7,7 @@ from math import prod
 
 import pytest
 
-from opnkit.arith import Factorization, factorize, parse_factorization
+from opnkit.arith import Factorization, parse_factorization
 from opnkit.bounds import Ordering3, radical_lower_bound, refined_reciprocal_rhs
 from opnkit.constraints import (
     ConstraintReport,
@@ -20,6 +20,7 @@ from opnkit.constraints import (
     explain,
 )
 from opnkit.primes import primes_up_to
+from trial_division import trial_factor
 
 ALL_IDS = [
     "parity",
@@ -272,7 +273,7 @@ def test_every_small_candidate_refuted():
     rng = random.Random(31337)
     for _ in range(80):
         n = rng.randint(2, 10**6)
-        report = audit(factorize(n))
+        report = audit(Factorization(trial_factor(n)))
         assert report.overall is Overall.REFUTED, n
 
 

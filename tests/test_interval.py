@@ -16,7 +16,6 @@ from opnkit.interval import (
     _round_mant,
     digit_string,
     div_dir,
-    fraction_to_dyadic,
     nth_root_enclosure,
     pow_dir,
     to_decimal,
@@ -40,8 +39,9 @@ def test_dyadic_arithmetic_exact():
 
 
 def test_dyadic_ordering():
+    # `<` is `>` reflected: Dyadic defines only `>`, which Interval's order check uses
     assert Dyadic(1, 0) < Dyadic(3, -1) < Dyadic(2, 0)
-    assert Dyadic(7, -3) <= Dyadic(7, -3)
+    assert not Dyadic(7, -3) > Dyadic(7, -3)
     assert Dyadic(1, 10) > 1000
     assert Dyadic(3, -1).cmp_fraction(Fraction(3, 2)) == 0
 
@@ -85,9 +85,7 @@ def test_interval_invariants():
     with pytest.raises(ValueError):
         Interval(Dyadic(1), Dyadic(2), 0)
     iv = Interval(Dyadic(1), Dyadic(2), 64)
-    assert iv.contains(Fraction(3, 2))
-    assert not iv.contains(3)
-    assert iv.width() == Dyadic(1)
+    assert iv.hi.as_fraction() - iv.lo.as_fraction() == 1
     assert (iv.lo.as_fraction() + iv.hi.as_fraction()) / 2 == Fraction(3, 2)
 
 
@@ -116,7 +114,7 @@ def test_root_enclosure_fractional_input(t, k):
 def test_root_enclosure_width_contract():
     for r in (2, 9, 97, 4096):
         iv = nth_root_enclosure(2, r, 128)
-        assert iv.width().as_fraction() <= Fraction(1, 2**126)
+        assert iv.hi.as_fraction() - iv.lo.as_fraction() <= Fraction(1, 2**126)
 
 
 def test_root_enclosure_validation():
@@ -126,20 +124,10 @@ def test_root_enclosure_validation():
         nth_root_enclosure(2, 0, 64)
 
 
-def test_fraction_to_dyadic_directed():
-    x = Fraction(1, 3)
-    lo = fraction_to_dyadic(x, 40, up=False)
-    hi = fraction_to_dyadic(x, 40, up=True)
-    assert lo.as_fraction() < x < hi.as_fraction()
-    exact = fraction_to_dyadic(Fraction(5, 8), 40, up=False)
-    assert exact.as_fraction() == Fraction(5, 8)
-    assert exact == fraction_to_dyadic(Fraction(5, 8), 40, up=True)
-
-
 def test_to_decimal_directed():
     d = Dyadic(1, -1)  # 0.5
     assert to_decimal(d, 3, up=False) == "5.00e-1"
-    third_lo = fraction_to_dyadic(Fraction(1, 3), 80, up=False)
+    third_lo = div_dir(Dyadic(1), Dyadic(3), 80, up=False)
     s_lo = to_decimal(third_lo, 10, up=False)
     s_hi = to_decimal(third_lo, 10, up=True)
     assert s_lo == "3.333333333e-1"
@@ -150,7 +138,7 @@ def test_to_decimal_directed():
 
 def test_to_decimal_carry():
     # 0.9999... rounded up to 2 digits must carry into the next decade
-    d = fraction_to_dyadic(Fraction(9999, 10000), 60, up=False)
+    d = div_dir(Dyadic(9999), Dyadic(10000), 60, up=False)
     assert to_decimal(d, 2, up=True) == "1.0e0"
 
 
@@ -413,15 +401,17 @@ def test_root_enclosure_against_mpmath(bits):
     # an independent root at bits + 64 lies inside, and for roots in [1, 2)
     # the width keeps the documented 2**-(bits+2)
     rng = random.Random(bits)
-    cases = [(Fraction(2), k) for k in (2, 3, 9, 97, 1000, 4096, 20000)]
+    cases = [(Fraction(2), k) for k in (1, 2, 3, 9, 97, 1000, 4096, 20000)]
     cases += [(Fraction(rng.randint(1, 10**30), rng.randint(1, 10**30)), rng.randint(2, 5000))
               for _ in range(6)]
     near_one = [(Fraction(rng.randint(10**20 + 1, 2 * 10**20 - 1), 10**20), rng.randint(2, 5000))
                 for _ in range(6)]
+    # k = 1 takes the general Newton-then-prove path too
+    near_one += [(Fraction(rng.randint(10**20 + 1, 2 * 10**20 - 1), 10**20), 1) for _ in range(2)]
     for t, k in cases + near_one:
         iv = nth_root_enclosure(t, k, bits)
         root = mp_root(t, k, bits + 64)
         assert iv.lo.as_fraction() <= root <= iv.hi.as_fraction(), (t, k)
         if 1 < t < 2**k:
-            assert iv.width().as_fraction() <= Fraction(1, 2 ** (bits + 2)), (t, k)
+            assert iv.hi.as_fraction() - iv.lo.as_fraction() <= Fraction(1, 2 ** (bits + 2)), (t, k)
 

@@ -1,15 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from opnkit.primes import (
-    _as_perfect_power,
-    factor_pairs,
-    iroot,
-    is_prime,
-    primes_up_to,
-)
+from opnkit.primes import is_prime, primes_up_to
 
 
 def is_prime_trial(n: int) -> bool:
@@ -59,45 +52,3 @@ def test_primes_up_to():
     assert primes_up_to(1) == ()
     assert primes_up_to(2) == (2,)
     assert primes_up_to(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-
-
-@given(st.integers(0, 10**12), st.integers(1, 40))
-def test_iroot_brackets(n, k):
-    r = iroot(n, k)
-    assert r**k <= n
-    assert (r + 1) ** k > n
-
-
-def test_iroot_exact_powers():
-    assert iroot(2**60, 6) == 1024
-    assert iroot(10**18, 3) == 10**6
-    with pytest.raises(ValueError):
-        iroot(-1, 2)
-    with pytest.raises(ValueError):
-        iroot(4, 0)
-
-
-def test_perfect_power_detection():
-    assert _as_perfect_power(3**10) == (9, 5) or _as_perfect_power(3**10) == (3**5, 2)
-    assert _as_perfect_power(7**3) == (7, 3)
-    assert _as_perfect_power(15) is None
-
-
-def test_factor_pairs_examples():
-    assert factor_pairs(945) == ((3, 3), (5, 1), (7, 1))
-    assert factor_pairs(1) == ()
-    assert factor_pairs(2**10) == ((2, 10),)
-    # a semiprime out of trial-division range
-    p, q = 1000003, 1000033
-    assert factor_pairs(p * q) == ((p, 1), (q, 1))
-    with pytest.raises(ValueError):
-        factor_pairs(0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 10**12))
-def test_factor_pairs_roundtrip(n):
-    pairs = factor_pairs(n)
-    assert math.prod(p**e for p, e in pairs) == n
-    assert all(is_prime(p) for p, _ in pairs)
-    assert list(pairs) == sorted(pairs)

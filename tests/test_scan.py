@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opnkit import scan
-from opnkit.arith import factorize, sigma
+from opnkit.arith import Factorization, sigma
 from opnkit.scan import (
     MAX_SPAN,
     PERFECT_HI_MAX,
@@ -24,6 +25,7 @@ from opnkit.scan import (
     sigma_segment,
     spf_sieve_odd,
 )
+from trial_division import trial_factor
 
 
 def sigma_brute(n: int) -> int:
@@ -67,24 +69,7 @@ def test_divisor_sums_near_1e9():
     every, odd = sigma_segment(a, b), _odd_divisor_sums(a, b)
     assert list(every[::2]) == list(odd)
     for n in [a, b - 1, b] + rng.sample(range(a, b + 1), 60):
-        assert every[n - a] == sigma(factorize(n)), n
-
-
-def trial_factor(n: int) -> list[tuple[int, int]]:
-    """Sorted (prime, exponent) pairs of n >= 2 by trial division."""
-    pairs = []
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            pairs.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        pairs.append((n, 1))
-    return pairs
+        assert every[n - a] == sigma(Factorization(trial_factor(n))), n
 
 
 def factor_from_spf(n: int, spf) -> list[tuple[int, int]]:
@@ -236,6 +221,29 @@ def test_pool_no_larger_than_the_work(monkeypatch, jobs, expected):
     assert rep.violations == scan_perfect(2, 12_001).violations
 
 
+@pytest.mark.parametrize("parity", ["all", "odd", "even"])
+@pytest.mark.parametrize("block_size", [9000, 2500, 20_000])
+def test_block_above_segment_is_sieved_a_segment_at_a_time(monkeypatch, parity, block_size):
+    lo, hi = 3, 12_001
+    default = scan_perfect(lo, hi, parity)
+    windows = []
+    real_hits = scan._perfect_hits
+
+    def recording(a, b, parity):
+        windows.append((a, b))
+        return real_hits(a, b, parity)
+
+    monkeypatch.setattr(scan, "_SEGMENT_ELEMS", 1000)
+    monkeypatch.setattr(scan, "_perfect_hits", recording)
+    rep = scan_perfect(lo, hi, parity, block_size=block_size)
+    assert all(b - a + 1 <= 1000 for a, b in windows)
+    # the windows tile [lo, hi] in order, and none crosses a block boundary
+    assert windows[0][0] == lo and windows[-1][1] == hi
+    assert all(b + 1 == a_next for (_, b), (a_next, _) in zip(windows, windows[1:]))
+    assert all((a - lo) // block_size == (b - lo) // block_size for a, b in windows)
+    assert rep == replace(default, elapsed_seconds=rep.elapsed_seconds)
+
+
 @st.composite
 def sieve_windows(draw):
     """[a, b] with 1 <= a <= b <= 2**22 and b - a < 4096, biased to the edges
@@ -262,7 +270,7 @@ def sieve_windows(draw):
 @given(sieve_windows())
 def test_sigma_segment_matches_factorize(window):
     a, b = window
-    assert sigma_segment(a, b).tolist() == [sigma(factorize(n)) for n in range(a, b + 1)]
+    assert sigma_segment(a, b).tolist() == [sigma(Factorization(trial_factor(n))) for n in range(a, b + 1)]
     if a | 1 <= b:
         assert _odd_divisor_sums(a | 1, b).tolist() == sigma_segment(a | 1, b)[::2].tolist()
 
@@ -287,7 +295,7 @@ def test_perfect_scan_at_ceiling():
     every = sigma_segment(lo, hi)
     assert list(_odd_divisor_sums(lo, hi)) == list(every[::2])
     for n in random.Random(12).sample(range(lo, hi + 1), 12) + [lo, hi]:
-        assert every[n - lo] == sigma(factorize(n)), n
+        assert every[n - lo] == sigma(Factorization(trial_factor(n))), n
     rep = scan_perfect(lo, hi, "odd")
     assert rep.violations == ()
     assert rep.tested_count == 50
