@@ -22,12 +22,10 @@ from .arith import (
 from .bounds import (
     BoundsReport,
     Ordering3,
-    PowerOfTwo,
     PrecisionExhaustedError,
     bounds_report,
     compare_rational_to_bound,
     decide,
-    nielsen_upper_bound,
     prime_sum_lower_bound,
     radical_lower_bound,
     refined_reciprocal_rhs,
@@ -66,12 +64,10 @@ __all__ = [
     "value",
     "BoundsReport",
     "Ordering3",
-    "PowerOfTwo",
     "PrecisionExhaustedError",
     "bounds_report",
     "compare_rational_to_bound",
     "decide",
-    "nielsen_upper_bound",
     "prime_sum_lower_bound",
     "radical_lower_bound",
     "refined_reciprocal_rhs",

@@ -107,11 +107,12 @@ def parse_factorization(text: str) -> Factorization:
         exponent: int | None = None
         i = skip_ws(i)
         if i < n and text[i] == "^":
-            exponent, i = read_number(i + 1, "an exponent")
+            exponent_start = skip_ws(i + 1)
+            exponent, i = read_number(exponent_start, "an exponent")
             if exponent < 1:
-                raise ParseError("exponent must be >= 1", i - len(str(exponent)))
+                raise ParseError("exponent must be >= 1", exponent_start)
             if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", i - len(str(exponent)))
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exponent_start)
             i = skip_ws(i)
         terms.append((value, exponent, term_start))
         if i >= n:

@@ -21,6 +21,7 @@ DEFAULT_START_BITS = 64
 DEFAULT_PRECISION_CAP_BITS = 1 << 20
 DEFAULT_REPORT_DIGITS = 50
 BOUNDS_R_MAX = 10**6  # the report's 4**r integer renders in time about r**1.8; see bounds_report
+BOUNDS_DIGITS_MAX = 2 * 10**4  # most digits a bound table renders per endpoint; see bounds_report
 
 
 class Ordering3(Enum):
@@ -95,25 +96,6 @@ def prime_sum_lower_bound(r: int, precision_bits: int) -> Interval:
     return bound
 
 
-@dataclass(frozen=True)
-class PowerOfTwo:
-    """Exactly 2**log2, kept symbolic so astronomical bounds are never expanded."""
-
-    log2: int
-
-    def __post_init__(self):
-        if self.log2 < 0:
-            raise ValueError("log2 must be >= 0")
-
-
-def nielsen_upper_bound(r: int) -> PowerOfTwo:
-    """The classical upper bound 2**(4**r) for an odd perfect number with
-    r distinct prime factors, kept symbolic."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return PowerOfTwo(4**r)
-
-
 def refined_reciprocal_rhs(r: int, largest_prime: int) -> Fraction:
     """Exact value of 1 - ((1 + 1/P)**r - (1 + r/P)) for P = largest_prime.
 
@@ -183,13 +165,14 @@ class BoundsReport:
     """All lower/upper bounds for a given r at a given precision.
 
     N exceeds its radical, so the radical bound is also the lower bound on
-    N; the JSON reports it under `n_lower_bound` as well.
+    N; the JSON reports it under `n_lower_bound` as well.  The upper bound
+    is the classical 2**(4**r), kept symbolic as its exponent `n_ub_log2`.
     """
 
     r: int
     radical_lb: Interval
     prime_sum_lb: Interval
-    n_ub: PowerOfTwo
+    n_ub_log2: int
     precision_bits: int
 
     def to_json_dict(self, digits: int = DEFAULT_REPORT_DIGITS) -> dict:
@@ -204,7 +187,7 @@ class BoundsReport:
             "radical_lower_bound": radical,
             "prime_sum_lower_bound": pair(self.prime_sum_lb),
             "n_lower_bound": radical,
-            "n_upper_bound": {"log2": self.n_ub.log2},
+            "n_upper_bound": {"log2": self.n_ub_log2},
         }
 
 
@@ -223,6 +206,13 @@ def bounds_report(r: int, precision_bits: int) -> BoundsReport:
     r**1.8, while the two lower bounds take milliseconds at any r.  The
     ceiling keeps a whole table within about six seconds; every doubling
     of r beyond it would multiply that by about 3.5.
+
+    The command line renders each endpoint to at most BOUNDS_DIGITS_MAX =
+    2 * 10**4 significant digits, checked before this is called.  A whole
+    `opnkit bounds -r 9` table took 0.16 s at 4000 digits, 0.26-0.30 s at
+    2 * 10**4, 0.87-0.94 s at 5 * 10**4 and 2.6 s at 10**5, and at r =
+    BOUNDS_R_MAX 5.0-5.1 s at 4000 digits, 5.3-5.5 s at 2 * 10**4 and
+    7.0 s at 5 * 10**4 (2 vCPUs); 10**6 digits ran past a minute.
     """
     if r > BOUNDS_R_MAX:
         raise ValueError(f"r is at most {BOUNDS_R_MAX}, got {r}")
@@ -231,6 +221,6 @@ def bounds_report(r: int, precision_bits: int) -> BoundsReport:
         r=r,
         radical_lb=radical,
         prime_sum_lb=prime_sum,
-        n_ub=nielsen_upper_bound(r),
+        n_ub_log2=4**r,
         precision_bits=precision_bits,
     )

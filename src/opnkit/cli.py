@@ -25,6 +25,7 @@ from fractions import Fraction
 from .arith import NonPrimeFactorError, ParseError, parse_factorization, render
 from .arith import elementary_symmetric
 from .bounds import (
+    BOUNDS_DIGITS_MAX,
     DEFAULT_PRECISION_CAP_BITS,
     DEFAULT_REPORT_DIGITS,
     PrecisionExhaustedError,
@@ -33,9 +34,7 @@ from .bounds import (
 from .checks import SUITES, run_verify_suite
 from .constraints import Overall, audit, explain
 from .interval import digit_string
-from .scan import BLOCK_SIZE_DEFAULT, CheckpointError, scan_perfect, scan_radical_chain
-
-PRECISION_CAP_ENV = "OPNKIT_PRECISION_CAP"
+from .scan import CheckpointError, scan_perfect, scan_radical_chain
 
 _DIGIT_SAFETY_BITS = 8
 
@@ -59,25 +58,7 @@ def _digits_to_bits(digits: int) -> int:
     return math.ceil(digits * math.log2(10)) + _DIGIT_SAFETY_BITS
 
 
-def _env_precision_cap() -> int | None:
-    """The cap set by OPNKIT_PRECISION_CAP, or None when it is unset or empty.
-
-    Raises ValueError when it is set to anything but a positive integer.
-    """
-    raw = os.environ.get(PRECISION_CAP_ENV)
-    if not raw:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{PRECISION_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    env_cap = _env_precision_cap()
     parser = argparse.ArgumentParser(
         prog="opnkit",
         description="Exact and certified-interval checks around odd perfect numbers.",
@@ -87,15 +68,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="lower/upper bound table for a given r")
     p_bounds.add_argument("-r", type=int, required=True, help="number of distinct prime factors")
     p_bounds.add_argument("--digits", type=int, default=DEFAULT_REPORT_DIGITS,
-                          help="significant decimal digits in the report (default 50)")
+                          help="significant decimal digits in the report "
+                               f"(default 50, at most {BOUNDS_DIGITS_MAX})")
     p_bounds.add_argument("--format", choices=("text", "json"), default="text")
 
     p_check = sub.add_parser("check", help="audit a candidate factorization")
     p_check.add_argument("factorization", help='e.g. "3^2*5*7^2"')
     p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.add_argument("--precision-cap", type=int,
-                         default=env_cap or DEFAULT_PRECISION_CAP_BITS,
-                         help=f"interval refinement cap in bits (env {PRECISION_CAP_ENV})")
+    p_check.add_argument("--precision-cap", type=int, default=DEFAULT_PRECISION_CAP_BITS,
+                         help="interval refinement cap in bits")
 
     p_verify = sub.add_parser("verify", help="run a property-verification suite")
     p_verify.add_argument("suite", choices=SUITES)
@@ -103,10 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--limit", type=int, default=100_000,
                           help="exhaustive ceiling for the chain suite")
-    p_verify.add_argument("--precision-cap", type=int,
-                          default=env_cap or DEFAULT_PRECISION_CAP_BITS,
-                          help="interval refinement cap in bits for the bounds suite "
-                               f"(env {PRECISION_CAP_ENV})")
+    p_verify.add_argument("--precision-cap", type=int, default=DEFAULT_PRECISION_CAP_BITS,
+                          help="interval refinement cap in bits for the bounds suite")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_scan = sub.add_parser("scan", help="exhaustive scan of a range")
@@ -117,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--hi", type=int, required=True)
     p_scan.add_argument("--parity", choices=("all", "odd", "even"), default="all")
     p_scan.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_scan.add_argument("--block-size", type=int, default=BLOCK_SIZE_DEFAULT)
     p_scan.add_argument("--checkpoint", help="JSON-lines file of completed blocks (resumable)")
     p_scan.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -131,6 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_bounds(args) -> int:
     if args.digits < 1:
         print("error: --digits must be >= 1", file=sys.stderr)
+        return 2
+    if args.digits > BOUNDS_DIGITS_MAX:
+        print(f"error: --digits is at most {BOUNDS_DIGITS_MAX}, got {args.digits}", file=sys.stderr)
         return 2
     try:
         report = bounds_report(args.r, _digits_to_bits(args.digits))
@@ -147,7 +128,7 @@ def _cmd_bounds(args) -> int:
     print(f"radical lower bound:   [{lo_a}, {hi_a}]")
     print(f"prime-sum lower bound: [{lo_b}, {hi_b}]")
     print(f"N lower bound:         [{lo_a}, {hi_a}]")
-    print(f"N upper bound:         2^(4^{report.r}) = 2^{digit_string(report.n_ub.log2)}")
+    print(f"N upper bound:         2^(4^{report.r}) = 2^{digit_string(report.n_ub_log2)}")
     return 0
 
 
@@ -212,7 +193,7 @@ def _cmd_scan(args) -> int:
     if chain and args.parity == "even":
         print("error: a radical-chain scan covers odd n only", file=sys.stderr)
         return 2
-    options = {"jobs": args.jobs, "block_size": args.block_size, "checkpoint": args.checkpoint}
+    options = {"jobs": args.jobs, "checkpoint": args.checkpoint}
     try:
         if chain:
             report = scan_radical_chain(args.lo, args.hi, **options)
@@ -284,11 +265,7 @@ def _stdout_closed() -> bool:
 
 
 def main(argv=None) -> int:
-    try:
-        parser = _build_parser()
-    except ValueError as exc:  # a malformed OPNKIT_PRECISION_CAP
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    parser = _build_parser()
     handlers = {
         "bounds": _cmd_bounds,
         "check": _cmd_check,

@@ -1,9 +1,10 @@
 """Exhaustive desk-scale range scans with deterministic parallel merge.
 
-Scans partition [lo, hi] into fixed-size blocks.  Workers sieve contiguous
-runs of blocks with one numpy divisor-pair kernel that sieves odd n only,
-and report per-block findings; the main process merges them in block
-order, so the result is byte-identical for any worker count.  No even n is
+Scans partition [lo, hi] into blocks of BLOCK_SIZE = 2**16 numbers.
+Workers sieve contiguous runs of blocks with one numpy divisor-pair kernel
+that sieves odd n only, and report per-block findings; the main process
+merges them in block order, so the result is byte-identical for any worker
+count.  No even n is
 ever sieved: sigma(2**k * m) = (2**(k+1) - 1) * sigma(m) for odd m, so
 `sigma_segment` fills every n of a window from odd-only sieves of the m,
 while a parity=odd perfect scan and the radical-chain scan call the odd
@@ -35,11 +36,11 @@ from .primes import primes_up_to
 if TYPE_CHECKING:
     import numpy as np
 
-BLOCK_SIZE_DEFAULT = 1 << 16
+BLOCK_SIZE = 1 << 16  # numbers per block, the unit of a checkpoint record
 MAX_SPAN = 10**9  # most numbers one scan may cover
 PERFECT_HI_MAX = 10**12  # sieve cost per segment grows with sqrt(hi); see scan_perfect
 RADICAL_CHAIN_HI_MAX = 10**9  # the range the kernel is derived and tested for (scan_radical_chain)
-_SEGMENT_ELEMS = 1 << 21  # sieve granularity: blocks are batched up to this size, larger ones cut to it
+_SEGMENT_ELEMS = 1 << 21  # sieve granularity: a segment is _SEGMENT_ELEMS // BLOCK_SIZE blocks
 _STAMP_LEN = 1 << 16  # most entries spf_sieve_odd writes with one slice assignment
 
 PARITIES = ("all", "odd", "even")
@@ -264,10 +265,8 @@ def spf_sieve_odd(limit: int) -> array:
 def _scan_segment(task) -> list[tuple[int, list[tuple[int, str]]]]:
     hits, seg_lo, seg_hi, lo, block_size = task
     per_block: dict[int, list[tuple[int, str]]] = {}
-    # a block larger than _SEGMENT_ELEMS is sieved that many numbers at a time
-    for a in range(seg_lo, seg_hi + 1, _SEGMENT_ELEMS):
-        for n, detail in hits(a, min(a + _SEGMENT_ELEMS - 1, seg_hi)):
-            per_block.setdefault((n - lo) // block_size, []).append((n, detail))
+    for n, detail in hits(seg_lo, seg_hi):
+        per_block.setdefault((n - lo) // block_size, []).append((n, detail))
     first = (seg_lo - lo) // block_size
     last = (seg_hi - lo) // block_size
     return [(i, per_block.get(i, [])) for i in range(first, last + 1)]
@@ -277,7 +276,7 @@ def _read_checkpoint(path, scan: list, nblocks: int) -> tuple[dict[int, list[tup
     """The completed blocks of a checkpoint file, and the byte length of its
     whole records.  A record is a newline-terminated line; what follows the
     last newline is a line torn by an interrupted run and is not read.  Each
-    record names its scan as [kind, lo, hi, parity, block_size]; a record
+    record names its scan as [kind, lo, hi, parity, BLOCK_SIZE]; a record
     of any other scan raises CheckpointError, since its blocks are not this
     scan's blocks."""
     try:
@@ -313,7 +312,7 @@ def _count_parity(lo: int, hi: int, parity: str) -> int:
 
 
 def _run_scan(
-    kind: str, hits, hi_max: int, lo: int, hi: int, parity: str, jobs: int, block_size: int, checkpoint
+    kind: str, hits, hi_max: int, lo: int, hi: int, parity: str, jobs: int, checkpoint
 ) -> ScanReport:
     """Scan [lo, hi] with `hits(a, b)`, which returns the (n, detail) findings
     of one segment; `parity` is the parity of the n it tests, and `kind`
@@ -328,15 +327,14 @@ def _run_scan(
         raise ValueError(f"parity must be one of {PARITIES}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
     t0 = time.perf_counter()
+    block_size = BLOCK_SIZE  # read once here: workers get it in their tasks
     nblocks = (hi - lo) // block_size + 1
     scan = [kind, lo, hi, parity, block_size]
     completed, whole = _read_checkpoint(checkpoint, scan, nblocks) if checkpoint else ({}, 0)
 
     # batch pending contiguous blocks into sieve segments
-    seg_blocks = max(1, _SEGMENT_ELEMS // block_size)
+    seg_blocks = _SEGMENT_ELEMS // block_size
 
     def as_task(blocks: list[int]):
         seg_lo = lo + blocks[0] * block_size
@@ -391,16 +389,15 @@ def scan_perfect(
     parity: str = "all",
     *,
     jobs: int = 1,
-    block_size: int = BLOCK_SIZE_DEFAULT,
     checkpoint=None,
 ) -> ScanReport:
     """Find every perfect number in [lo, hi] with the requested parity.
 
     The report's `violations` are the perfect numbers found.  Results are
-    identical for any `jobs` value; `checkpoint` names a JSON-lines file of
-    completed blocks for resumable scans, and a file that another scan wrote
-    raises CheckpointError.  `hi` may not exceed PERFECT_HI_MAX = 10**12.
-    int64 is exact far beyond it: sigma(n) <= n*(1 + ln n) < 3e13 there.
+    identical for any `jobs` value.  `checkpoint` names a JSON-lines file
+    for resumable scans, one record per completed block of BLOCK_SIZE =
+    2**16 numbers; a file that another scan wrote raises CheckpointError.
+    `hi` may not exceed PERFECT_HI_MAX = 10**12.  int64 is exact far beyond it: sigma(n) <= n*(1 + ln n) < 3e13 there.
     The ceiling bounds the cost: each sieve pass loops in Python over the
     odd d <= sqrt(hi) with more than one multiple in the segment, up to
     5*10**5 of them at the ceiling, and an all-n segment takes one pass per
@@ -408,7 +405,7 @@ def scan_perfect(
     2.2 s for every n and 1.0 s for the odd n (2 vCPUs, numpy 2.4).
     """
     hits = partial(_perfect_hits, parity=parity)
-    return _run_scan("perfect", hits, PERFECT_HI_MAX, lo, hi, parity, jobs, block_size, checkpoint)
+    return _run_scan("perfect", hits, PERFECT_HI_MAX, lo, hi, parity, jobs, checkpoint)
 
 
 def scan_radical_chain(
@@ -416,13 +413,13 @@ def scan_radical_chain(
     hi: int,
     *,
     jobs: int = 1,
-    block_size: int = BLOCK_SIZE_DEFAULT,
     checkpoint=None,
 ) -> ScanReport:
     """Verify, for every odd n in [lo, hi], that n's abundancy strictly
     exceeds its radical's when n is not squarefree (with equality when it
     is).  Violations would disprove the exponent-raising chain argument;
-    none are expected, ever.  `hi` may not exceed RADICAL_CHAIN_HI_MAX =
+    none are expected, ever.  `jobs` and `checkpoint` are as for
+    `scan_perfect`.  `hi` may not exceed RADICAL_CHAIN_HI_MAX =
     10**9.  int64 does not set that ceiling, since the kernel's values stay
     below 5.62*n (see `_radical_chain_hits`); what does is the range the
     kernel is derived and tested for: 5.62 is Robin's bound at 10**9, and
@@ -430,6 +427,4 @@ def scan_radical_chain(
     division up to there.  Raising it means re-deriving that constant and
     rerunning those tests.  A full 2**21-number segment takes 0.09-0.10 s
     at 10**8 and 0.12-0.15 s near 10**9 (2 vCPUs, numpy 2.4)."""
-    return _run_scan(
-        "radical-chain", _radical_chain_hits, RADICAL_CHAIN_HI_MAX, lo, hi, "odd", jobs, block_size, checkpoint
-    )
+    return _run_scan("radical-chain", _radical_chain_hits, RADICAL_CHAIN_HI_MAX, lo, hi, "odd", jobs, checkpoint)

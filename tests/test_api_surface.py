@@ -37,7 +37,6 @@ EXPORTS = [
     "Ordering3",
     "Overall",
     "ParseError",
-    "PowerOfTwo",
     "PrecisionExhaustedError",
     "PrimeSet",
     "ScanReport",
@@ -55,7 +54,6 @@ EXPORTS = [
     "elementary_symmetric",
     "explain",
     "is_prime",
-    "nielsen_upper_bound",
     "nth_root_enclosure",
     "parse_factorization",
     "prime_sum_lower_bound",
@@ -75,8 +73,8 @@ PARAMETERS = [
     (decide, ["x", "enclose", "cap_bits"]),
     (compare_rational_to_bound, ["x", "kind", "r", "precision_cap_bits"]),
     (run_verify_suite, ["suite", "trials", "seed", "limit", "precision_cap_bits"]),
-    (scan_perfect, ["lo", "hi", "parity", "jobs", "block_size", "checkpoint"]),
-    (scan_radical_chain, ["lo", "hi", "jobs", "block_size", "checkpoint"]),
+    (scan_perfect, ["lo", "hi", "parity", "jobs", "checkpoint"]),
+    (scan_radical_chain, ["lo", "hi", "jobs", "checkpoint"]),
     (bounds_report, ["r", "precision_bits"]),
     (to_decimal, ["d", "digits", "up"]),  # the benchmark's tracer wraps it by name
 ]
@@ -85,7 +83,7 @@ OPTIONS = {
     "bounds": ["-r", "--digits", "--format"],
     "check": ["factorization", "--format", "--precision-cap"],
     "verify": ["suite", "--trials", "--seed", "--limit", "--precision-cap", "--format"],
-    "scan": ["--kind", "--lo", "--hi", "--parity", "--jobs", "--block-size", "--checkpoint", "--format"],
+    "scan": ["--kind", "--lo", "--hi", "--parity", "--jobs", "--checkpoint", "--format"],
     "sk": ["factorization", "--format"],
 }
 
@@ -124,8 +122,15 @@ def test_cli_options():
     assert got == OPTIONS
 
 
+REMOVED_OPTIONS = [
+    (["check", "3^2*5*7^2"], "--start-bits 8"),
+    (["scan", "--lo", "2", "--hi", "100"], "--block-size 4096"),
+]
+
+
 def test_removed_option_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["check", "3^2*5*7^2", "--start-bits", "8"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --start-bits 8" in capsys.readouterr().err
+    for command, option in REMOVED_OPTIONS:
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *option.split()])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from opnkit.arith import (
     value,
 )
 from opnkit.primes import primes_up_to
+from test_primes import fixed_base_liar
 from trial_division import trial_factor
 
 
@@ -100,9 +101,11 @@ def test_parse_syntax_errors(bad):
 
 
 def test_parse_error_position():
-    with pytest.raises(ParseError) as exc:
-        parse_factorization("3^2*")
-    assert exc.value.position == 4
+    # an exponent's error points where its digits start, zero padding included
+    for text, position in (("3^2*", 4), ("3^000", 2), ("3^0004294967296", 2), ("3 ^ 0", 4)):
+        with pytest.raises(ParseError) as exc:
+            parse_factorization(text)
+        assert exc.value.position == position, text
 
 
 def test_exponent_range():
@@ -110,6 +113,15 @@ def test_exponent_range():
         parse_factorization(f"3^{2**32}")
     with pytest.raises(ValueError):
         Factorization(((3, 0),))
+
+
+def test_composite_built_for_fixed_bases_rejected():
+    n = math.prod(fixed_base_liar())
+    with pytest.raises(NonPrimeFactorError) as exc:
+        parse_factorization(f"3^2*{n}")
+    assert exc.value.factor == n
+    with pytest.raises(NonPrimeFactorError):
+        Factorization(((3, 2), (n, 1)))
 
 
 def test_constructor_invariants():

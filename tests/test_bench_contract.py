@@ -3,8 +3,10 @@
 `perfbench/tracer.py` lists them in TARGETS and `install()` looks each one
 up with a bare getattr, so renaming or deleting one breaks the traced run.
 `perfbench/worker.py` calls them with keyword arguments, so renaming or
-deleting a keyword breaks every run.  The tracer is loaded from its file
-and the worker is only parsed; nothing under perfbench/ is changed.
+deleting a keyword breaks every run.  `perfbench/inputs.py` sets the digits
+of its bound tables, which must stay within the CLI's ceiling.  The tracer
+and the inputs are loaded from their files and the worker is only parsed;
+nothing under perfbench/ is changed.
 """
 
 import ast
@@ -14,17 +16,18 @@ import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+INPUTS = TRACER.parent / "inputs.py"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_targets_resolve():
-    targets = load_tracer().TARGETS
+    targets = load(TRACER).TARGETS
     assert targets
     for modname, attr, _name, _tagger in targets:
         assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
@@ -80,3 +83,11 @@ def test_worker_keywords_bind():
     assert {"trials", "seed", "limit"} <= passed["run_verify_suite"]
     assert {"jobs", "checkpoint"} <= passed["scan_perfect"]
     assert "jobs" in passed["scan_radical_chain"]
+
+
+def test_bench_tables_within_digits_ceiling():
+    # `opnkit bounds` refuses more digits than BOUNDS_DIGITS_MAX; every table
+    # the benchmark renders must stay below it
+    from opnkit.bounds import BOUNDS_DIGITS_MAX
+
+    assert max(digits for _, digits in load(INPUTS)._TABLE_STRATA) <= BOUNDS_DIGITS_MAX

@@ -12,7 +12,6 @@ from opnkit.bounds import (
     bounds_report,
     compare_rational_to_bound,
     decide,
-    nielsen_upper_bound,
     prime_sum_lower_bound,
     radical_lower_bound,
     refined_reciprocal_rhs,
@@ -143,11 +142,12 @@ def test_outward_rounding_true_value_inside():
 
 
 def test_nielsen_upper_bound():
-    assert nielsen_upper_bound(1).log2 == 4
-    assert nielsen_upper_bound(2).log2 == 16
-    assert nielsen_upper_bound(9).log2 == 262144
+    # the report keeps 2**(4**r) as its exponent
+    assert bounds_report(1, 64).n_ub_log2 == 4
+    assert bounds_report(2, 64).n_ub_log2 == 16
+    assert bounds_report(9, 64).n_ub_log2 == 262144
     with pytest.raises(ValueError):
-        nielsen_upper_bound(0)
+        bounds_report(0, 64)
 
 
 # --- the refined reciprocal ceiling ---------------------------------------------
@@ -219,7 +219,7 @@ def test_compare_low_cap_undecides():
 def test_bounds_report_structure():
     rep = bounds_report(9, 128)
     assert isinstance(rep, BoundsReport)
-    assert rep.n_ub.log2 == 262144
+    assert rep.n_ub_log2 == 262144
     doc = rep.to_json_dict(digits=30)
     assert set(doc) == {
         "r",

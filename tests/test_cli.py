@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from opnkit.bounds import DEFAULT_PRECISION_CAP_BITS, PrecisionExhaustedError
 from opnkit.cli import main
 from opnkit.primes import primes_up_to
 from opnkit.scan import MAX_SPAN, PERFECT_HI_MAX
+from test_primes import fixed_base_liar
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -54,6 +56,17 @@ def test_bounds_beyond_str_digit_limit(capsys):
     assert len(lo) == len("7.") + 4999 + len("e3")
 
 
+def test_bounds_above_digits_ceiling(capsys, monkeypatch):
+    from opnkit import cli
+    from opnkit.bounds import BOUNDS_DIGITS_MAX
+
+    monkeypatch.setattr(cli, "bounds_report", lambda *args: pytest.fail("enclosure computed"))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "bounds", "-r", "9", "--digits", str(BOUNDS_DIGITS_MAX + 1), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: --digits is at most {BOUNDS_DIGITS_MAX}, got {BOUNDS_DIGITS_MAX + 1}\n"
+
+
 def test_bounds_invalid(capsys):
     code, _, err = run(capsys, "bounds", "-r", "0")
     assert code == 2
@@ -84,6 +97,14 @@ def test_check_composite(capsys):
     code, _, err = run(capsys, "check", "4*7")
     assert code == 2
     assert "composite factor 4" in err
+
+
+@pytest.mark.parametrize("command, text", [("check", "3^2*{}"), ("sk", "3*{}")])
+def test_composite_built_for_fixed_bases_exits_2(capsys, command, text):
+    n = math.prod(fixed_base_liar())
+    code, out, err = run(capsys, command, text.format(n))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: composite factor ") and err.count("\n") == 1
 
 
 def test_check_even(capsys):
@@ -177,14 +198,20 @@ def test_verify_bad_trials(capsys):
 
 
 def test_precision_cap_env(monkeypatch, capsys):
+    # the CLI reads only its arguments: the variable that once set the cap,
+    # well formed or not, changes no output and no exit code
     from opnkit.cli import _build_parser
 
-    monkeypatch.setenv("OPNKIT_PRECISION_CAP", "4096")
-    args = _build_parser().parse_args(["check", "3"])
-    assert args.precision_cap == 4096
-    monkeypatch.delenv("OPNKIT_PRECISION_CAP")
-    args = _build_parser().parse_args(["check", "3"])
-    assert args.precision_cap == 1 << 20
+    commands = (
+        ["check", "3^2*5*7^2", "--format", "json"],
+        ["check", "3^2*5*7^2"],
+        ["scan", "--lo", "2", "--hi", "10000", "--jobs", "1", "--format", "json"],
+    )
+    plain = [run(capsys, *argv) for argv in commands]
+    for raw in ("abc", "1.5", "0", "-4096", "4096"):
+        monkeypatch.setenv("OPNKIT_PRECISION_CAP", raw)
+        assert _build_parser().parse_args(["check", "3"]).precision_cap == DEFAULT_PRECISION_CAP_BITS
+        assert [run(capsys, *argv) for argv in commands] == plain
 
 
 @pytest.mark.parametrize(
@@ -202,16 +229,6 @@ def test_precision_arguments_rejected(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-4096"])
-def test_precision_cap_env_rejected(monkeypatch, capsys, raw):
-    monkeypatch.setenv("OPNKIT_PRECISION_CAP", raw)
-    for argv in (["check", "3^2*5*7^2"], ["verify", "gmhm", "--trials", "5"]):
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: OPNKIT_PRECISION_CAP") and err.count("\n") == 1
 
 
 def test_verify_precision_exhausted_exit_code(monkeypatch, capsys):
@@ -233,8 +250,7 @@ def test_verify_precision_exhausted_exit_code(monkeypatch, capsys):
     code, out, err = run(capsys, "verify", "bounds", "--trials", "5")
     assert (code, out) == (3, "")
     assert err.startswith("undecided: ") and err.count("\n") == 1
-    monkeypatch.setenv("OPNKIT_PRECISION_CAP", "4096")
-    assert run(capsys, "verify", "bounds", "--trials", "5")[0] == 3
+    assert run(capsys, "verify", "bounds", "--trials", "5", "--precision-cap", "4096")[0] == 3
     assert caps == [DEFAULT_PRECISION_CAP_BITS, 4096]
 
 
@@ -297,28 +313,32 @@ def test_scan_checkpoint_in_missing_directory_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("first, second", [
-    (["--block-size", "3000"], ["--block-size", "1000"]),
-    (["--parity", "odd"], ["--parity", "all"]),
+    # blocks of 1000, as `--block-size 1000` once wrote them
+    (["perfect", 2, 10000, "all", 1000], []),
+    (["perfect", 2, 10000, "odd", 65536], ["--parity", "all"]),
 ])
 def test_scan_checkpoint_of_another_scan_exits_4(tmp_path, capsys, first, second):
-    argv = ["scan", "--lo", "2", "--hi", "10000", "--jobs", "1", "--checkpoint", str(tmp_path / "ck.jsonl")]
-    assert run(capsys, *argv, *first)[0] == 0
+    # `first` names the scan that wrote the checkpoint, `second` the resumed one
+    ck = tmp_path / "ck.jsonl"
+    ck.write_text(json.dumps({"block": 0, "scan": first, "violations": []}) + "\n")
+    before = ck.read_bytes()
+    argv = ["scan", "--lo", "2", "--hi", "10000", "--jobs", "1", "--checkpoint", str(ck)]
     code, out, err = run(capsys, *argv, *second)
     assert (code, out) == (4, "")
     assert err.startswith("error: bad checkpoint line 1: written by scan")
+    assert ck.read_bytes() == before
 
 
 def test_scan_resume_matches(tmp_path, capsys):
+    # five blocks of 2**16; the resume finds the first two done
     ck = tmp_path / "ck.jsonl"
-    code, full, _ = run(capsys, "scan", "--lo", "2", "--hi", "50000", "--jobs", "1", "--format", "json")
-    run(capsys, "scan", "--lo", "2", "--hi", "50000", "--jobs", "1",
-        "--checkpoint", str(ck), "--block-size", "4096")
+    argv = ["scan", "--lo", "2", "--hi", "300000", "--jobs", "1"]
+    code, full, _ = run(capsys, *argv, "--format", "json")
+    run(capsys, *argv, "--checkpoint", str(ck))
     lines = ck.read_text().splitlines()
-    ck.write_text("\n".join(lines[:3]) + "\n")
-    code, resumed, _ = run(
-        capsys, "scan", "--lo", "2", "--hi", "50000", "--jobs", "1",
-        "--checkpoint", str(ck), "--block-size", "4096", "--format", "json",
-    )
+    assert len(lines) == 5
+    ck.write_text("\n".join(lines[:2]) + "\n")
+    code, resumed, _ = run(capsys, *argv, "--checkpoint", str(ck), "--format", "json")
     assert code == 0
     assert resumed == full
 

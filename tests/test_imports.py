@@ -47,7 +47,6 @@ print(json.dumps({
 
 def run_probe(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("OPNKIT_PRECISION_CAP", None)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )

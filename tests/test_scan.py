@@ -2,7 +2,6 @@ import json
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -179,13 +178,14 @@ def test_parity_routing_visits_each_n_once(monkeypatch, lo, hi):
         return 2 * np.arange(a, b + 1, 2, dtype=np.int64)
 
     block_size = 777
+    monkeypatch.setattr(scan, "BLOCK_SIZE", block_size)
     monkeypatch.setattr(scan, "_SEGMENT_ELEMS", 2 * block_size)  # two blocks a segment
     monkeypatch.setattr(scan, "sigma_segment", every_n_perfect)
     monkeypatch.setattr(scan, "_odd_divisor_sums", every_odd_n_perfect)
     segments = [(a, min(a + 2 * block_size - 1, hi)) for a in range(lo, hi + 1, 2 * block_size)]
     for parity, first, stride in (("all", lo, 1), ("odd", lo | 1, 2), ("even", lo + lo % 2, 2)):
         calls.clear()
-        rep = scan_perfect(lo, hi, parity, block_size=block_size)
+        rep = scan_perfect(lo, hi, parity)
         assert [n for n, _ in rep.violations] == list(range(first, hi + 1, stride))
         if parity == "odd":
             assert calls == [("odd", a | 1, b) for a, b in segments if a | 1 <= b]
@@ -214,34 +214,13 @@ def test_pool_no_larger_than_the_work(monkeypatch, jobs, expected):
         def imap_unordered(self, func, tasks):
             return map(func, tasks)
 
+    expected_violations = scan_perfect(2, 12_001).violations
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 4000)
     monkeypatch.setattr(scan, "_SEGMENT_ELEMS", 4000)  # one block a segment
-    rep = scan_perfect(2, 12_001, jobs=jobs, block_size=4000)  # three segments
+    rep = scan_perfect(2, 12_001, jobs=jobs)  # three segments
     assert sizes == [expected]
-    assert rep.violations == scan_perfect(2, 12_001).violations
-
-
-@pytest.mark.parametrize("parity", ["all", "odd", "even"])
-@pytest.mark.parametrize("block_size", [9000, 2500, 20_000])
-def test_block_above_segment_is_sieved_a_segment_at_a_time(monkeypatch, parity, block_size):
-    lo, hi = 3, 12_001
-    default = scan_perfect(lo, hi, parity)
-    windows = []
-    real_hits = scan._perfect_hits
-
-    def recording(a, b, parity):
-        windows.append((a, b))
-        return real_hits(a, b, parity)
-
-    monkeypatch.setattr(scan, "_SEGMENT_ELEMS", 1000)
-    monkeypatch.setattr(scan, "_perfect_hits", recording)
-    rep = scan_perfect(lo, hi, parity, block_size=block_size)
-    assert all(b - a + 1 <= 1000 for a, b in windows)
-    # the windows tile [lo, hi] in order, and none crosses a block boundary
-    assert windows[0][0] == lo and windows[-1][1] == hi
-    assert all(b + 1 == a_next for (_, b), (a_next, _) in zip(windows, windows[1:]))
-    assert all((a - lo) // block_size == (b - lo) // block_size for a, b in windows)
-    assert rep == replace(default, elapsed_seconds=rep.elapsed_seconds)
+    assert rep.violations == expected_violations
 
 
 @st.composite
@@ -282,11 +261,14 @@ def test_sigma_segment_matches_factorize(window):
 )
 def test_parity_reports_filter_the_all_report(span, block_size):
     lo, hi = span
-    every = scan_perfect(lo, hi, block_size=block_size)
-    for parity, rem in (("odd", 1), ("even", 0)):
-        rep = scan_perfect(lo, hi, parity, block_size=block_size)
-        assert rep.violations == tuple(v for v in every.violations if v[0] % 2 == rem)
-        assert rep.tested_count == _count_parity(lo, hi, parity)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan, "BLOCK_SIZE", block_size)
+        mp.setattr(scan, "_SEGMENT_ELEMS", block_size * max(1, 4096 // block_size))  # about 4096 a segment
+        every = scan_perfect(lo, hi)
+        for parity, rem in (("odd", 1), ("even", 0)):
+            rep = scan_perfect(lo, hi, parity)
+            assert rep.violations == tuple(v for v in every.violations if v[0] % 2 == rem)
+            assert rep.tested_count == _count_parity(lo, hi, parity)
 
 
 def test_perfect_scan_at_ceiling():
@@ -321,16 +303,20 @@ def test_scan_validation():
         scan_perfect(2, 10, jobs=0)
 
 
-def test_scan_deterministic_across_jobs():
-    base = scan_perfect(2, 2 * 10**6, jobs=1, block_size=1 << 14)
-    multi = scan_perfect(2, 2 * 10**6, jobs=3, block_size=1 << 14)
+def test_scan_deterministic_across_jobs(monkeypatch):
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 1 << 14)
+    monkeypatch.setattr(scan, "_SEGMENT_ELEMS", 1 << 16)  # 31 segments of four blocks
+    base = scan_perfect(2, 2 * 10**6, jobs=1)
+    multi = scan_perfect(2, 2 * 10**6, jobs=3)
     assert base.violations == multi.violations
     assert base.tested_count == multi.tested_count
 
 
-def test_scan_block_size_invariance():
-    a = scan_perfect(2, 10**5, block_size=1 << 10)
-    b = scan_perfect(2, 10**5, block_size=1 << 16)
+def test_scan_block_size_invariance(monkeypatch):
+    b = scan_perfect(2, 10**5)
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 1 << 10)
+    monkeypatch.setattr(scan, "_SEGMENT_ELEMS", 1 << 14)
+    a = scan_perfect(2, 10**5)
     assert a.violations == b.violations
 
 
@@ -392,7 +378,9 @@ def test_radical_chain_reports_each_violation(monkeypatch):
         return sig
 
     monkeypatch.setattr(scan, "_odd_divisor_sums", perturbing)
-    rep = scan_radical_chain(lo, hi, block_size=500)
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 500)
+    monkeypatch.setattr(scan, "_SEGMENT_ELEMS", 1000)  # two blocks a segment
+    rep = scan_radical_chain(lo, hi)
     assert rep.violations == tuple((n, radical_detail(n, perturbed[n])) for n in sorted(perturbed))
 
 
@@ -440,26 +428,28 @@ def test_radical_chain_segment_memory():
     assert peak <= 48 * 2**20
 
 
-def test_checkpoint_resume(tmp_path):
+def test_checkpoint_resume(monkeypatch, tmp_path):
     ck = tmp_path / "scan.jsonl"
-    full = scan_perfect(2, 10**5, block_size=4096)
-    first = scan_perfect(2, 10**5, block_size=4096, checkpoint=str(ck))
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 4096)
+    monkeypatch.setattr(scan, "_SEGMENT_ELEMS", 4 * 4096)
+    full = scan_perfect(2, 10**5)
+    first = scan_perfect(2, 10**5, checkpoint=str(ck))
     assert first.violations == full.violations
     lines = ck.read_text().splitlines()
     assert len(lines) == (10**5 - 2) // 4096 + 1
     # drop half the progress and append a torn line, as an interrupt would
     ck.write_text("\n".join(lines[: len(lines) // 2]) + '\n{"block": 9, "vio')
-    resumed = scan_perfect(2, 10**5, block_size=4096, checkpoint=str(ck))
+    resumed = scan_perfect(2, 10**5, checkpoint=str(ck))
     assert resumed.violations == full.violations
     assert resumed.tested_count == full.tested_count
     # the torn line is cut off before appending, so a second resume reads
     # the file the first one left, and that file holds whole records only
     assert sorted(ck.read_text().splitlines()) == sorted(lines)
-    again = scan_perfect(2, 10**5, block_size=4096, checkpoint=str(ck))
+    again = scan_perfect(2, 10**5, checkpoint=str(ck))
     assert again.violations == full.violations
 
 
-# the scan key of scan_perfect(2, 10**5) at the default block size
+# the scan key of scan_perfect(2, 10**5), blocks of BLOCK_SIZE = 2**16
 SCAN_2_1E5 = '"scan": ["perfect", 2, 100000, "all", 65536]'
 
 
@@ -486,16 +476,24 @@ def test_checkpoint_without_scan_rejected(tmp_path):
         scan_perfect(2, 10**5, checkpoint=str(ck))
 
 
+def blocks_of_1000(checkpoint):
+    # scan_perfect(2, 10**4) in blocks of 1000, as the block_size parameter
+    # once wrote it; resumed at another block size, the blocks were reported
+    # as [6, 28, 496, 8128, 8128]
+    record = {"scan": ["perfect", 2, 10**4, "all", 1000], "violations": []}
+    with open(checkpoint, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"block": i, **record}) + "\n" for i in range(10))
+
+
 @pytest.mark.parametrize(
     "written, resumed",
     [
-        # resumed at another block size, the blocks were reported as [6, 28, 496, 8128, 8128]
-        (partial(scan_perfect, 2, 10**4, block_size=3000), partial(scan_perfect, 2, 10**4, block_size=1000)),
+        (blocks_of_1000, partial(scan_perfect, 2, 10**4)),
         # an odd scan's blocks were taken as done by an all scan, which then reported []
-        (partial(scan_perfect, 2, 10**4, "odd", block_size=1000), partial(scan_perfect, 2, 10**4, block_size=1000)),
-        (partial(scan_perfect, 3, 10**4, "odd", block_size=1000), partial(scan_radical_chain, 3, 10**4, block_size=1000)),
-        (partial(scan_perfect, 2, 10**4, block_size=1000), partial(scan_perfect, 3, 10**4, block_size=1000)),
-        (partial(scan_perfect, 2, 10**4, block_size=1000), partial(scan_perfect, 2, 2 * 10**4, block_size=1000)),
+        (partial(scan_perfect, 2, 10**4, "odd"), partial(scan_perfect, 2, 10**4)),
+        (partial(scan_perfect, 3, 10**4, "odd"), partial(scan_radical_chain, 3, 10**4)),
+        (partial(scan_perfect, 2, 10**4), partial(scan_perfect, 3, 10**4)),
+        (partial(scan_perfect, 2, 10**4), partial(scan_perfect, 2, 2 * 10**4)),
     ],
     ids=["block_size", "parity", "kind", "lo", "hi"],
 )
@@ -508,16 +506,17 @@ def test_checkpoint_of_another_scan_rejected(tmp_path, written, resumed):
     assert ck.read_bytes() == before
 
 
-def test_checkpoint_preserves_findings(tmp_path):
+def test_checkpoint_preserves_findings(monkeypatch, tmp_path):
     # a resume must recover perfect numbers found before the interruption
     ck = tmp_path / "scan.jsonl"
-    scan_perfect(2, 10_000, block_size=1024, checkpoint=str(ck))
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 1024)
+    scan_perfect(2, 10_000, checkpoint=str(ck))
     records = [json.loads(line) for line in ck.read_text().splitlines()]
     assert all(rec["scan"] == ["perfect", 2, 10_000, "all", 1024] for rec in records)
     found = sorted(n for rec in records for n, _ in rec["violations"])
     assert found == [6, 28, 496, 8128]
     # wipe nothing; rerun is a no-op and reproduces the same report
-    again = scan_perfect(2, 10_000, block_size=1024, checkpoint=str(ck))
+    again = scan_perfect(2, 10_000, checkpoint=str(ck))
     assert [n for n, _ in again.violations] == [6, 28, 496, 8128]
 
 

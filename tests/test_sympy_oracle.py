@@ -8,6 +8,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from opnkit.arith import Factorization, sigma  # noqa: E402
+from opnkit.primes import is_prime  # noqa: E402
 from opnkit.scan import sigma_segment, spf_sieve_odd  # noqa: E402
 from test_scan import factor_from_spf  # noqa: E402
 
@@ -43,3 +44,18 @@ def test_spf_factorization_matches_sympy():
     spf = spf_sieve_odd(limit)
     for n in random.Random(5).sample(range(3, limit + 1, 2), 300) + [limit]:
         assert factor_from_spf(n, spf) == sorted(sympy.factorint(n).items()), n
+
+
+def test_is_prime_matches_sympy_above_2_64():
+    rng = random.Random(64)
+    odd = [rng.getrandbits(bits) | 1 << (bits - 1) | 1 for bits in (rng.randrange(65, 2001) for _ in range(100))]
+    primes = [int(sympy.nextprime(rng.getrandbits(bits))) for bits in (33, 48, 64, 65, 100, 250, 500, 1000)]
+    # two primes, either from the list or q = k(p - 1) + 1, the shape of a
+    # Fermat liar's factors
+    products = [p * q for p in primes for q in primes if p <= q]
+    for p in primes[:6]:
+        k = next(k for k in range(2, 10**4, 2) if sympy.isprime(k * (p - 1) + 1))
+        products.append(p * (k * (p - 1) + 1))
+    for n in odd + primes + products:
+        if n >= 1 << 64:
+            assert is_prime(n) == sympy.isprime(n), n
