@@ -9,6 +9,7 @@ integers; nothing here ever rounds.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from math import prod
@@ -16,6 +17,9 @@ from math import prod
 from .primes import is_prime
 
 MAX_EXPONENT = 2**32 - 1
+# one term, `prime ('^' exponent)?` between blanks; \d is a decimal digit,
+# exactly the characters int() reads
+_TERM = re.compile(r"[ \t]*(\d*)[ \t]*(?:\^[ \t]*(\d*)[ \t]*)?")
 
 
 class ParseError(ValueError):
@@ -79,43 +83,33 @@ def parse_factorization(text: str) -> Factorization:
     composite factor.  A number longer than sys.get_int_max_str_digits()
     is a ParseError: that limit is not lifted.
     """
-    terms: list[tuple[int, int | None, int]] = []  # (value, exponent, position)
-    i, n = 0, len(text)
+    terms: list[tuple[int, int | None]] = []  # (value, exponent)
     # 0 means no limit, as on Pythons without the getter
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
-    def skip_ws(j: int) -> int:
-        while j < n and text[j] in " \t":
-            j += 1
-        return j
-
-    def read_number(j: int, what: str) -> tuple[int, int]:
-        j = skip_ws(j)
-        start = j
-        while j < n and text[j].isdigit():
-            j += 1
-        if j == start:
+    def number(m: re.Match, group: int, what: str) -> int:
+        digits, start = m.group(group), m.start(group)
+        if not digits:
             raise ParseError(f"expected {what}", start)
-        if 0 < digit_limit < j - start:
+        if 0 < digit_limit < len(digits):
             # int() refuses it: the interpreter's guard against quadratic parsing
             raise ParseError(f"{what} has more than {digit_limit} digits", start)
-        return int(text[start:j]), j
+        return int(digits)
 
+    i = 0
     while True:
-        term_start = skip_ws(i)
-        value, i = read_number(i, "a prime factor")
+        m = _TERM.match(text, i)
+        value = number(m, 1, "a prime factor")
         exponent: int | None = None
-        i = skip_ws(i)
-        if i < n and text[i] == "^":
-            exponent_start = skip_ws(i + 1)
-            exponent, i = read_number(exponent_start, "an exponent")
+        if m.group(2) is not None:
+            exponent = number(m, 2, "an exponent")
             if exponent < 1:
-                raise ParseError("exponent must be >= 1", exponent_start)
+                raise ParseError("exponent must be >= 1", m.start(2))
             if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exponent_start)
-            i = skip_ws(i)
-        terms.append((value, exponent, term_start))
-        if i >= n:
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", m.start(2))
+        terms.append((value, exponent))
+        i = m.end()
+        if i == len(text):
             break
         if text[i] != "*":
             raise ParseError("expected '*' between factors", i)
@@ -125,7 +119,7 @@ def parse_factorization(text: str) -> Factorization:
         return Factorization(())
 
     counts: dict[int, int] = {}
-    for value, exponent, _ in terms:
+    for value, exponent in terms:
         if value <= 1:
             raise NonPrimeFactorError(value)
         counts[value] = counts.get(value, 0) + (1 if exponent is None else exponent)

@@ -26,11 +26,18 @@ from .bounds import (
     prime_sum_lower_bound,
     refined_reciprocal_rhs,
 )
-from .interval import decimal_digits, digit_string
+from .interval import Dyadic, digit_string, to_decimal
 
 _LOG_SCALES = (16, 64, 256, 1024, 4096)
 _MATERIALIZE_BITS = 1 << 21
 _EXACT_BITS = int(20_000 * 3.322)  # sum(e * bitlen(p)) of about 20000 decimal digits
+# r >= need unless one of the small primes divides N:
+# (id, small primes, need, detail when one divides N, premise otherwise)
+_MIN_DISTINCT_WITHOUT = (
+    ("min_distinct_no3", (3,), 12, "3 divides N", "3 does not divide N"),
+    ("min_distinct_no3no5", (3, 5), 15, "3 or 5 divides N", "neither 3 nor 5 divides N"),
+    ("min_distinct_no357", (3, 5, 7), 27, "3, 5, or 7 divides N", "gcd(N, 105) = 1"),
+)
 
 
 class Verdict(Enum):
@@ -87,17 +94,16 @@ def explain(report: ConstraintReport) -> str:
     return "\n".join(lines)
 
 
-def _fmt_int(x: int, max_digits: int = 40) -> str:
-    """x >= 0 in full up to max_digits digits, else its 16 leading digits.
+def _fmt_int(x: int) -> str:
+    """x >= 0 in full up to 40 digits, else its 16 leading digits.
 
-    A long x is never rendered in full: its digits are counted and the
-    leading ones taken by one division.
+    A long x is never rendered in full: `to_decimal` rounds it down to 16
+    significant digits, and its exponent gives the digit count.
     """
-    if x < 10**max_digits:
+    if x < 10**40:
         return str(x)
-    digits = decimal_digits(x)
-    lead = str(x // 10 ** (digits - 16))
-    return f"{lead[0]}.{lead[1:]}e{digits - 1} ({digits} digits)"
+    text = to_decimal(Dyadic(x), 16, up=False)
+    return f"{text} ({int(text.partition('e')[2]) + 1} digits)"
 
 
 def _fmt_fraction(q: Fraction) -> str:
@@ -235,40 +241,26 @@ def audit(f: Factorization, precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS
 
     verdicts.append(_check("min_distinct", r >= 9, f"r = {r} {'<' if r < 9 else '>='} 9"))
 
-    if 3 in primes:
-        verdicts.append(_na("min_distinct_no3", "3 divides N"))
-    else:
-        verdicts.append(_check("min_distinct_no3", r >= 12, f"3 does not divide N and r = {r} (need >= 12)"))
-
-    if 3 in primes or 5 in primes:
-        verdicts.append(_na("min_distinct_no3no5", "3 or 5 divides N"))
-    else:
-        verdicts.append(
-            _check("min_distinct_no3no5", r >= 15, f"neither 3 nor 5 divides N and r = {r} (need >= 15)")
-        )
-
-    if any(q in primes for q in (3, 5, 7)):
-        verdicts.append(_na("min_distinct_no357", "3, 5, or 7 divides N"))
-    else:
-        verdicts.append(
-            _check("min_distinct_no357", r >= 27, f"gcd(N, 105) = 1 and r = {r} (need >= 27)")
-        )
+    for cid, small, need, divides, premise in _MIN_DISTINCT_WITHOUT:
+        if any(q in primes for q in small):
+            verdicts.append(_na(cid, divides))
+        else:
+            verdicts.append(_check(cid, r >= need, f"{premise} and r = {r} (need >= {need})"))
 
     omega = sum(exps)
     verdicts.append(
         _check("hare_omega", omega >= 75, f"Omega(N) = {omega} {'<' if omega < 75 else '>='} 75")
     )
 
-    thresholds = (10**8, 10**4, 10**2)
     comparisons = []
-    ok = True
-    for offset, needed in enumerate(thresholds):
-        if r - 1 - offset < 0:
-            comparisons.append(f"factor #{r - offset} absent")
+    ok = r >= 3
+    for offset, (rank, e10) in enumerate((("largest", 8), ("second largest", 4), ("third largest", 2))):
+        if offset >= r:
+            comparisons.append(f"{rank} prime absent")
             continue
         p = primes[r - 1 - offset]
-        ok = ok and p > needed
-        comparisons.append(f"{_fmt_int(p)} {'>' if p > needed else '<='} 10^{len(str(needed)) - 1}")
+        ok = ok and p > 10**e10
+        comparisons.append(f"{_fmt_int(p)} {'>' if p > 10**e10 else '<='} 10^{e10}")
     verdicts.append(_check("largest_three", ok, "; ".join(comparisons)))
 
     p1 = primes[0]

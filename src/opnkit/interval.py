@@ -156,33 +156,23 @@ def pow_dir(a: Dyadic, n: int, bits: int, up: bool) -> Dyadic:
     return Dyadic(rm, re)
 
 
-def decimal_digits(x: int) -> int:
-    """Number of decimal digits of x >= 1, counted without str(): estimated
-    from the bit length, then corrected exactly against powers of ten."""
-    digits = int((x.bit_length() - 1) * math.log10(2)) + 1
-    while 10**digits <= x:
-        digits += 1
-    while 10 ** (digits - 1) > x:
-        digits -= 1
-    return digits
-
-
 def digit_string(x: int, width: int = 0) -> str:
     """The decimal digits of x >= 0, zero-padded to `width`, at any length.
 
     Below sys.get_int_max_str_digits() (4300 digits by default) this is
     str(x); str() refuses a longer x, so that one is split at a power of
-    ten and its halves are rendered apart.  (Pythons without the limit have
-    no getter.)
+    ten near the middle of its digits and its halves are rendered apart.
+    (Pythons without the limit have no getter.)
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # 2**3.32 < 10, so x < 2**(3.32 * limit) has at most `limit` digits
     if limit == 0 or x.bit_length() <= 3.32 * limit:
         return str(x).zfill(width)
-    digits = max(width, decimal_digits(x))
-    low = digits // 2
+    # the estimate lies between the digit count of x and one more; it only
+    # places the split, and the high half is padded to `width` alone
+    low = max(width, int(x.bit_length() * math.log10(2)) + 1) // 2
     high, rest = divmod(x, 10**low)
-    return digit_string(high, digits - low) + digit_string(rest, low)
+    return digit_string(high, width - low) + digit_string(rest, low)
 
 
 _TEN = Dyadic(10)

@@ -113,7 +113,7 @@ def _odd_divisor_sums(a: int, b: int) -> np.ndarray:
 
     sig = np.zeros((b - a) // 2 + 1, dtype=np.int64)
     ds = np.arange(1, math.isqrt(b) + 1, 2, dtype=np.int64)
-    q0 = np.maximum(ds, -(-a // ds) | 1)
+    q0 = np.maximum(ds, _first_quotient(a, ds))
     counts = (b // ds - q0) // 2 + 1
     keep = counts > 0
     ds, q0, counts = ds[keep], q0[keep], counts[keep]

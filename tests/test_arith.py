@@ -53,6 +53,10 @@ def test_parse_whitespace():
     assert parse_factorization(" 3 ^ 2 * 5 ").pairs == ((3, 2), (5, 1))
 
 
+def test_parse_reads_decimal_digits_of_any_script():
+    assert parse_factorization("٣^2*\t5").pairs == ((3, 2), (5, 1))
+
+
 def test_parse_composite_rejected():
     with pytest.raises(NonPrimeFactorError) as exc:
         parse_factorization("3^2*15")
@@ -101,11 +105,29 @@ def test_parse_syntax_errors(bad):
 
 
 def test_parse_error_position():
-    # an exponent's error points where its digits start, zero padding included
-    for text, position in (("3^2*", 4), ("3^000", 2), ("3^0004294967296", 2), ("3 ^ 0", 4)):
+    # an exponent's error points where its digits start, zero padding
+    # included; a superscript passes str.isdigit but is no digit to int()
+    for text, position in (
+        ("3^2*", 4), ("3^000", 2), ("3^0004294967296", 2), ("3 ^ 0", 4),
+        ("3²", 1), ("3^²", 2), ("³", 0), ("3*5²*7", 3),
+    ):
         with pytest.raises(ParseError) as exc:
             parse_factorization(text)
         assert exc.value.position == position, text
+
+
+# digits, the grammar's symbols, blanks, a superscript, an Arabic-Indic
+# digit and letters
+_FACTOR_TEXT = st.text(alphabet="0123456789^* \t²٣ax", max_size=12)
+
+
+@settings(max_examples=300)
+@given(_FACTOR_TEXT)
+def test_parse_raises_only_its_own_errors(text):
+    try:
+        parse_factorization(text)
+    except (ParseError, NonPrimeFactorError):
+        pass
 
 
 def test_exponent_range():

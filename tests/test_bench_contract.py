@@ -4,7 +4,8 @@
 up with a bare getattr, so renaming or deleting one breaks the traced run.
 `perfbench/worker.py` calls them with keyword arguments, so renaming or
 deleting a keyword breaks every run.  `perfbench/inputs.py` sets the digits
-of its bound tables, which must stay within the CLI's ceiling.  The tracer
+of its bound tables, which must stay within the CLI's ceiling, and spells
+its candidates in ways the parser must keep reading.  The tracer
 and the inputs are loaded from their files and the worker is only parsed;
 nothing under perfbench/ is changed.
 """
@@ -91,3 +92,15 @@ def test_bench_tables_within_digits_ceiling():
     from opnkit.bounds import BOUNDS_DIGITS_MAX
 
     assert max(digits for _, digits in load(INPUTS)._TABLE_STRATA) <= BOUNDS_DIGITS_MAX
+
+
+def test_bench_candidates_parse():
+    # shuffled, spaced, split and `p^1` spellings all read as the factorization
+    # they render to
+    from opnkit.arith import parse_factorization, render
+
+    inputs = load(INPUTS)
+    for seed in (1, 2, 3):
+        for text in inputs.audit_inputs(seed, "full")["candidates"]:
+            f = parse_factorization(text)
+            assert parse_factorization(render(f)) == f, text

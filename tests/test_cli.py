@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,12 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opnkit import checks, scan
 from opnkit.bounds import DEFAULT_PRECISION_CAP_BITS, PrecisionExhaustedError
 from opnkit.cli import main
 from opnkit.primes import primes_up_to
 from opnkit.scan import MAX_SPAN, PERFECT_HI_MAX
+from test_arith import _FACTOR_TEXT
 from test_primes import fixed_base_liar
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -424,6 +428,27 @@ def test_sk_computes_coefficients_once(monkeypatch, capsys):
 def test_sk_parse_error(capsys):
     code, _, err = run(capsys, "sk", "3**5")
     assert code == 2
+
+
+@pytest.mark.parametrize("command, text", [("check", "3²"), ("check", "3^²"), ("sk", "3²")])
+def test_superscript_digit_exits_2(capsys, command, text):
+    code, out, err = run(capsys, command, text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# hypothesis does not reset capsys between examples, so output is captured
+# per call
+@settings(max_examples=150)
+@given(st.sampled_from(["check", "sk"]), _FACTOR_TEXT)
+def test_factorization_text_gives_report_or_one_error_line(command, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, text])
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue() == "" or (
+        err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    )
 
 
 @pytest.fixture

@@ -141,9 +141,20 @@ def test_largest_three():
     assert v["largest_three"].verdict is Verdict.FAIL
     v = by_id(audit(parse_factorization("3^2*5*7^2")))
     assert v["largest_three"].verdict is Verdict.FAIL
-    # r = 2: only the available components are compared
-    v = by_id(audit(parse_factorization("10007*100000007")))
-    assert v["largest_three"].verdict is Verdict.PASS
+
+
+# r = 2 and r = 1: a missing prime fails, named by its rank
+@pytest.mark.parametrize("text, detail", [
+    ("100000007^2*10007", "100000007 > 10^8; 10007 > 10^4; third largest prime absent"),
+    ("100000007^2", "100000007 > 10^8; second largest prime absent; third largest prime absent"),
+])
+def test_largest_three_fails_without_three_primes(text, detail):
+    report = audit(parse_factorization(text))
+    v = by_id(report)
+    assert (v["largest_three"].verdict, v["largest_three"].detail) == (Verdict.FAIL, detail)
+    # min_distinct already fails, so the overall verdict is the same
+    assert v["min_distinct"].verdict is Verdict.FAIL
+    assert report.overall is Overall.REFUTED
 
 
 def test_perisastri():
@@ -367,8 +378,15 @@ def test_fmt_int_matches_str_rendering():
     values = [rng.randrange(10 ** rng.randint(1, 4299)) for _ in range(600)]
     for k in (1, 15, 16, 17, 39, 40, 41, 100, 1000, 4298, 4299):
         values += [10**k - 1, 10**k, 10**k + 1]
-    for x in values:
-        assert _fmt_int(x) == fmt_int_via_str(x), x
+    # past str()'s limit, up to 20000 digits
+    values += [rng.randrange(10 ** rng.randint(4300, 20000)) for _ in range(30)]
+    for k in (4300, 4301, 9999, 19999):
+        values += [10**k - 1, 10**k, 10**k + 1]
+    got = [_fmt_int(x) for x in values]
+    with unlimited_int_str():
+        want = [fmt_int_via_str(x) for x in values]
+    for g, w in zip(got, want):
+        assert g == w
 
 
 def test_reciprocal_sums_beyond_str_digit_limit():
