@@ -18,7 +18,7 @@ from typing import Callable
 from .interval import Dyadic, Interval, ONE, div_dir, nth_root_enclosure, pow_dir
 
 DEFAULT_START_BITS = 64
-DEFAULT_PRECISION_CAP_BITS = 1 << 20
+PRECISION_CAP_BITS = 1 << 20  # most bits `decide` refines to; read when it runs
 DEFAULT_REPORT_DIGITS = 50
 BOUNDS_R_MAX = 10**6  # the report's 4**r integer renders in time about r**1.8; see bounds_report
 BOUNDS_DIGITS_MAX = 2 * 10**4  # most digits a bound table renders per endpoint; see bounds_report
@@ -116,47 +116,48 @@ _EVALUATORS = {
 }
 
 
-def decide(x: Fraction, enclose: Callable[[int], Interval], cap_bits: int) -> tuple[Ordering3, Interval]:
+def decide(x: Fraction, enclose: Callable[[int], Interval]) -> tuple[Ordering3, Interval]:
     """Certified strict comparison of a rational x against a real value.
 
     `enclose(bits)` returns a certified enclosure of the value at `bits`
-    bits of precision.  Refinement starts at min(DEFAULT_START_BITS, cap_bits)
-    and doubles until the enclosure excludes x (BELOW: x is below the value,
-    ABOVE: x is above it) or the cap is reached (UNDECIDED).  The enclosure
-    that settled it comes back too; its precision_bits are the bits used.
+    bits of precision.  Refinement starts at DEFAULT_START_BITS (or at the
+    cap, if that is lower) and doubles until the enclosure excludes x
+    (BELOW: x is below the value, ABOVE: x is above it) or reaches
+    PRECISION_CAP_BITS (UNDECIDED).  The enclosure that settled it comes
+    back too; its precision_bits are the bits used, and equal the cap when
+    the comparison is UNDECIDED.
     """
-    bits = min(DEFAULT_START_BITS, cap_bits)
+    cap = PRECISION_CAP_BITS
+    bits = min(DEFAULT_START_BITS, cap)
     while True:
         enclosure = enclose(bits)
         if enclosure.lo.cmp_fraction(x) > 0:
             return Ordering3.BELOW, enclosure
         if enclosure.hi.cmp_fraction(x) < 0:
             return Ordering3.ABOVE, enclosure
-        if bits >= cap_bits:
+        if bits >= cap:
             return Ordering3.UNDECIDED, enclosure
-        bits = min(bits * 2, cap_bits)
+        bits = min(bits * 2, cap)
 
 
-def compare_rational_to_bound(
-    x, kind: str, r: int, precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS
-) -> Ordering3:
+def compare_rational_to_bound(x, kind: str, r: int) -> Ordering3:
     """Certified strict comparison of a rational against a bound expression.
 
     Returns BELOW or ABOVE only when the interval enclosure excludes x, so
     the verdict is exact.  Both bounds are the exact point 1 at r = 1, where
     an exact tie is UNDECIDED since no strict verdict exists.  For r >= 2
     the bounds are irrational, so any rational x separates at some finite
-    precision.
+    precision; `decide` gives up at its cap, PRECISION_CAP_BITS, and then
+    the answer is UNDECIDED.  An r below 1 raises ValueError from the
+    bound's evaluator.
     """
     if kind not in _EVALUATORS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {tuple(_EVALUATORS)}")
     x = Fraction(x)
     if x < 0:
         raise ValueError("x must be >= 0")
-    if r < 1:
-        raise ValueError("r must be >= 1")
     evaluator = _EVALUATORS[kind]
-    order, _ = decide(x, lambda bits: evaluator(r, bits), precision_cap_bits)
+    order, _ = decide(x, lambda bits: evaluator(r, bits))
     return order
 
 

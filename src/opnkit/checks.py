@@ -20,13 +20,8 @@ from itertools import compress
 from math import comb, isqrt, prod
 
 from .arith import Factorization, elementary_symmetric, render, sigma, value
-from .bounds import (
-    DEFAULT_PRECISION_CAP_BITS,
-    Ordering3,
-    PrecisionExhaustedError,
-    compare_rational_to_bound,
-    refined_reciprocal_rhs,
-)
+from . import bounds
+from .bounds import Ordering3, PrecisionExhaustedError, compare_rational_to_bound, refined_reciprocal_rhs
 from .primes import is_prime, primes_up_to
 from .scan import spf_sieve_odd
 
@@ -122,9 +117,7 @@ def _radical_abundancy_below_one(primes) -> bool:
     return prod(p + 1 for p in primes) < 2 * prod(primes)
 
 
-def check_bound_implication(
-    ps: PrimeSet, precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS
-) -> bool:
+def check_bound_implication(ps: PrimeSet) -> bool:
     """If the radical of the prime set has abundancy < 1 (exact test), its
     product and sum must clear the certified lower bounds for its size.
 
@@ -137,14 +130,10 @@ def check_bound_implication(
     if not _radical_abundancy_below_one(primes):
         return True
     r = len(primes)
-    product_cmp = compare_rational_to_bound(
-        Fraction(prod(primes)), "radical", r, precision_cap_bits
-    )
-    sum_cmp = compare_rational_to_bound(
-        Fraction(sum(primes)), "prime_sum", r, precision_cap_bits
-    )
+    product_cmp = compare_rational_to_bound(Fraction(prod(primes)), "radical", r)
+    sum_cmp = compare_rational_to_bound(Fraction(sum(primes)), "prime_sum", r)
     if Ordering3.UNDECIDED in (product_cmp, sum_cmp):
-        raise PrecisionExhaustedError(f"bound comparison at {precision_cap_bits} bits")
+        raise PrecisionExhaustedError(f"bound comparison at {bounds.PRECISION_CAP_BITS} bits")
     return product_cmp is Ordering3.ABOVE and sum_cmp is Ordering3.ABOVE
 
 
@@ -221,7 +210,6 @@ def run_verify_suite(
     trials: int = 10_000,
     seed: int = 0,
     limit: int = 100_000,
-    precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS,
 ) -> SuiteResult:
     """Run one named verification suite; seeded, deterministic, exhaustive
     where the suite is defined that way.
@@ -241,10 +229,10 @@ def run_verify_suite(
     1.2-1.3 s at 10**7 and 13.6-14.4 s, with 266 MB peak RSS, at the
     ceiling (three runs).
 
-    `precision_cap_bits` caps the interval refinements of the `bounds`
-    suite, the only one that makes any; a decision the cap leaves open
-    raises PrecisionExhaustedError.  Every other suite, `gmhm` included, is
-    decided exactly in integers and ignores the cap.
+    The `bounds` suite is the only one that refines intervals, each up to
+    `bounds.decide`'s fixed cap; a decision the cap leaves open raises
+    PrecisionExhaustedError.  Every other suite, `gmhm` included, is
+    decided exactly in integers.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
@@ -292,7 +280,7 @@ def run_verify_suite(
                         violations.append(f"primes={ps.primes} k={k}")
             elif suite == "bounds":
                 checked += 1
-                if not check_bound_implication(ps, precision_cap_bits):
+                if not check_bound_implication(ps):
                     violations.append(f"primes={ps.primes}")
             elif suite == "recip":
                 checked += 1

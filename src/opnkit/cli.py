@@ -26,7 +26,6 @@ from .arith import NonPrimeFactorError, ParseError, parse_factorization, render
 from .arith import elementary_symmetric
 from .bounds import (
     BOUNDS_DIGITS_MAX,
-    DEFAULT_PRECISION_CAP_BITS,
     DEFAULT_REPORT_DIGITS,
     PrecisionExhaustedError,
     bounds_report,
@@ -75,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="audit a candidate factorization")
     p_check.add_argument("factorization", help='e.g. "3^2*5*7^2"')
     p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.add_argument("--precision-cap", type=int, default=DEFAULT_PRECISION_CAP_BITS,
-                         help="interval refinement cap in bits")
 
     p_verify = sub.add_parser("verify", help="run a property-verification suite")
     p_verify.add_argument("suite", choices=SUITES)
@@ -84,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--limit", type=int, default=100_000,
                           help="exhaustive ceiling for the chain suite")
-    p_verify.add_argument("--precision-cap", type=int, default=DEFAULT_PRECISION_CAP_BITS,
-                          help="interval refinement cap in bits for the bounds suite")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_scan = sub.add_parser("scan", help="exhaustive scan of a range")
@@ -141,13 +136,10 @@ def _parse_or_complain(text: str):
 
 
 def _cmd_check(args) -> int:
-    if args.precision_cap < 1:
-        print("error: --precision-cap must be >= 1", file=sys.stderr)
-        return 2
     f = _parse_or_complain(args.factorization)
     if f is None:
         return 2
-    report = audit(f, precision_cap_bits=args.precision_cap)
+    report = audit(f)
     if args.format == "json":
         print(_dumps(report.to_json_dict()))
     else:
@@ -160,17 +152,8 @@ def _cmd_verify(args) -> int:
     if args.trials < 1 or args.limit < 3:
         print("error: --trials must be >= 1 and --limit >= 3", file=sys.stderr)
         return 2
-    if args.precision_cap < 1:
-        print("error: --precision-cap must be >= 1", file=sys.stderr)
-        return 2
     try:
-        result = run_verify_suite(
-            args.suite,
-            trials=args.trials,
-            seed=args.seed,
-            limit=args.limit,
-            precision_cap_bits=args.precision_cap,
-        )
+        result = run_verify_suite(args.suite, trials=args.trials, seed=args.seed, limit=args.limit)
     except PrecisionExhaustedError as exc:
         print(f"undecided: suite {args.suite} reached the precision cap: {exc}", file=sys.stderr)
         return 3

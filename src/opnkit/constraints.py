@@ -19,7 +19,6 @@ from math import prod
 
 from .arith import Factorization, render, sigma, value
 from .bounds import (
-    DEFAULT_PRECISION_CAP_BITS,
     Ordering3,
     decide,
     radical_lower_bound,
@@ -187,18 +186,18 @@ def _euler_form(pairs) -> ConstraintVerdict:
     return _check("euler_form", True, f"P = {p} with exponent {e}; Q = {q_str}")
 
 
-def _bound_verdict(cid: str, quantity: int, evaluator, r: int, cap: int, name: str) -> ConstraintVerdict:
-    cmp, enclosure = decide(Fraction(quantity), lambda bits: evaluator(r, bits), cap)
+def _bound_verdict(cid: str, quantity: int, evaluator, r: int, name: str) -> ConstraintVerdict:
+    cmp, enclosure = decide(Fraction(quantity), lambda bits: evaluator(r, bits))
     lo_s, hi_s = enclosure.to_decimal_pair(20)
     detail = f"{name} = {_fmt_int(quantity)} vs lower bound in [{lo_s}, {hi_s}]"
     if cmp is Ordering3.ABOVE:
         return _check(cid, True, detail)
     if cmp is Ordering3.BELOW:
         return _check(cid, False, detail)
-    return ConstraintVerdict(cid, Verdict.UNDECIDED, detail + f" (undecided at {cap}-bit cap)")
+    return ConstraintVerdict(cid, Verdict.UNDECIDED, detail + f" (undecided at {enclosure.precision_bits}-bit cap)")
 
 
-def audit(f: Factorization, precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS) -> ConstraintReport:
+def audit(f: Factorization) -> ConstraintReport:
     """Run the full battery of necessary conditions against a candidate.
 
     An even candidate (or N = 1) fails the parity gate immediately and is
@@ -318,12 +317,8 @@ def audit(f: Factorization, precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS
             )
         )
 
-    verdicts.append(
-        _bound_verdict("radical_bound", prod(primes), radical_lower_bound, r, precision_cap_bits, "radical(N)")
-    )
-    verdicts.append(
-        _bound_verdict("prime_sum_bound", sum(primes), prime_sum_lower_bound, r, precision_cap_bits, "prime_sum(N)")
-    )
+    verdicts.append(_bound_verdict("radical_bound", prod(primes), radical_lower_bound, r, "radical(N)"))
+    verdicts.append(_bound_verdict("prime_sum_bound", sum(primes), prime_sum_lower_bound, r, "prime_sum(N)"))
 
     recip = sum(Fraction(1, p) for p in primes)
     recip_s = _fmt_fraction(recip)

@@ -69,10 +69,10 @@ EXPORTS = [
 ]
 
 PARAMETERS = [
-    (audit, ["f", "precision_cap_bits"]),
-    (decide, ["x", "enclose", "cap_bits"]),
-    (compare_rational_to_bound, ["x", "kind", "r", "precision_cap_bits"]),
-    (run_verify_suite, ["suite", "trials", "seed", "limit", "precision_cap_bits"]),
+    (audit, ["f"]),
+    (decide, ["x", "enclose"]),
+    (compare_rational_to_bound, ["x", "kind", "r"]),
+    (run_verify_suite, ["suite", "trials", "seed", "limit"]),
     (scan_perfect, ["lo", "hi", "parity", "jobs", "checkpoint"]),
     (scan_radical_chain, ["lo", "hi", "jobs", "checkpoint"]),
     (bounds_report, ["r", "precision_bits"]),
@@ -81,8 +81,8 @@ PARAMETERS = [
 
 OPTIONS = {
     "bounds": ["-r", "--digits", "--format"],
-    "check": ["factorization", "--format", "--precision-cap"],
-    "verify": ["suite", "--trials", "--seed", "--limit", "--precision-cap", "--format"],
+    "check": ["factorization", "--format"],
+    "verify": ["suite", "--trials", "--seed", "--limit", "--format"],
     "scan": ["--kind", "--lo", "--hi", "--parity", "--jobs", "--checkpoint", "--format"],
     "sk": ["factorization", "--format"],
 }
@@ -125,6 +125,8 @@ def test_cli_options():
 REMOVED_OPTIONS = [
     (["check", "3^2*5*7^2"], "--start-bits 8"),
     (["scan", "--lo", "2", "--hi", "100"], "--block-size 4096"),
+    (["check", "3^2*5*7^2"], "--precision-cap 64"),
+    (["verify", "bounds", "--trials", "5"], "--precision-cap 64"),
 ]
 
 

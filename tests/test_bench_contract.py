@@ -5,15 +5,18 @@ up with a bare getattr, so renaming or deleting one breaks the traced run.
 `perfbench/worker.py` calls them with keyword arguments, so renaming or
 deleting a keyword breaks every run.  `perfbench/inputs.py` sets the digits
 of its bound tables, which must stay within the CLI's ceiling, and spells
-its candidates in ways the parser must keep reading.  The tracer
-and the inputs are loaded from their files and the worker is only parsed;
-nothing under perfbench/ is changed.
+its candidates in ways the parser must keep reading.  `perfbench/run.py`
+fails a traced run when one of its LAYER_SPANS rows gets no span, so every
+row must stay reachable.  The tracer and the inputs are loaded from their
+files, and the worker and run.py are only parsed; nothing under perfbench/
+is changed.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -104,3 +107,43 @@ def test_bench_candidates_parse():
         for text in inputs.audit_inputs(seed, "full")["candidates"]:
             f = parse_factorization(text)
             assert parse_factorization(render(f)) == f, text
+
+
+RUN = TRACER.parent / "run.py"
+
+
+def layer_spans() -> dict:
+    """run.py's LAYER_SPANS, read from its source without importing run.py."""
+    for node in ast.parse(RUN.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYER_SPANS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("run.py defines no LAYER_SPANS")
+
+
+def test_traced_passes_fill_every_layer_row(tmp_path):
+    # one small pass of each family, called as the worker calls opnkit; each
+    # row whose span wraps an opnkit function needs a span in its family
+    # (constraints.json is the worker's own span, around its JSON rendering)
+    import opnkit
+
+    tracer_module = load(TRACER)
+    traced = {name for _, _, name, _ in tracer_module.TARGETS}
+    tracer = tracer_module.Tracer()
+    with tracer.active("audit"):
+        for text in ("3^2*5*7^2", "3^4*5^2*7*11^2*13"):
+            opnkit.audit(opnkit.parse_factorization(text)).to_json_dict()
+        for suite in ("lift", "gmhm", "bounds", "recip", "recip-refined"):
+            opnkit.run_verify_suite(suite, trials=3)
+    with tracer.active("refine"):
+        opnkit.bounds_report(9, 128).to_json_dict(20)
+        opnkit.compare_rational_to_bound(Fraction(100), "radical", 3)
+    with tracer.active("scan"):
+        opnkit.scan_perfect(2, 5000, "all", jobs=1)
+        opnkit.scan_perfect(10**8, 10**8 + 4999, "all", jobs=1)
+        opnkit.scan_perfect(10**8, 10**8 + 4999, "odd", jobs=1)
+        opnkit.scan_perfect(2, 5000, "all", jobs=1, checkpoint=str(tmp_path / "scan.ckpt"))
+        opnkit.scan_radical_chain(3, 5001, jobs=1)
+        opnkit.run_verify_suite("chain", limit=1000)
+    rows = {row: (family, span, tag) for row, (family, span, tag, _) in layer_spans().items() if span in traced}
+    assert len(rows) == len(layer_spans()) - 1
+    assert [row for row, key in rows.items() if key not in tracer.stats] == []

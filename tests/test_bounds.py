@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from opnkit import bounds
 from opnkit.bounds import (
     BOUNDS_R_MAX,
     BoundsReport,
@@ -201,16 +202,14 @@ def test_compare_validation():
         compare_rational_to_bound(Fraction(1), "n", 2)  # the radical bound's old alias
     with pytest.raises(ValueError):
         compare_rational_to_bound(Fraction(-1), "radical", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="r must be >= 1"):
         compare_rational_to_bound(Fraction(1), "radical", 0)
 
 
-def test_compare_low_cap_undecides():
+def test_compare_low_cap_undecides(monkeypatch):
+    monkeypatch.setattr(bounds, "PRECISION_CAP_BITS", 16)
     close = Fraction(5828427124746190097603377, 10**24)
-    assert (
-        compare_rational_to_bound(close, "radical", 2, precision_cap_bits=16)
-        is Ordering3.UNDECIDED
-    )
+    assert compare_rational_to_bound(close, "radical", 2) is Ordering3.UNDECIDED
 
 
 # --- report --------------------------------------------------------------------
@@ -241,8 +240,6 @@ def test_bounds_report_structure():
 
 def test_bounds_report_matches_separate_bounds(monkeypatch):
     # one root of 2 serves both bounds, with the same enclosures as apart
-    import opnkit.bounds as bounds
-
     roots = []
     enclose = bounds.nth_root_enclosure
 
@@ -264,8 +261,6 @@ def test_bounds_report_matches_separate_bounds(monkeypatch):
 
 
 def test_bounds_report_r_ceiling(monkeypatch):
-    import opnkit.bounds as bounds
-
     # at the ceiling: both lower bounds, rendered, bracket mpmath's values
     doc = bounds_report(BOUNDS_R_MAX, 25).to_json_dict(5)
     assert doc["n_upper_bound"] == {"log2": 4**BOUNDS_R_MAX}
@@ -296,37 +291,41 @@ def recording_sqrt2(calls):
 SQRT2_49 = Fraction(14142135623730950488016887242096980785696718753769, 10**49)
 
 
-def test_decide_below_and_above():
+def test_decide_below_and_above(monkeypatch):
+    monkeypatch.setattr(bounds, "PRECISION_CAP_BITS", 1024)
     for x, want in ((Fraction(1), Ordering3.BELOW), (Fraction(3, 2), Ordering3.ABOVE)):
         calls = []
-        order, enclosure = decide(x, recording_sqrt2(calls), 1024)
+        order, enclosure = decide(x, recording_sqrt2(calls))
         assert order is want
         assert calls == [64]
         assert enclosure.precision_bits == 64
         assert enclosure.lo.as_fraction() ** 2 < 2 < enclosure.hi.as_fraction() ** 2
 
 
-def test_decide_refines_until_decided():
+def test_decide_refines_until_decided(monkeypatch):
+    monkeypatch.setattr(bounds, "PRECISION_CAP_BITS", 1 << 12)
     calls = []
-    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls), 1 << 12)
+    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls))
     assert order is Ordering3.BELOW  # the truncated decimal lies below sqrt(2)
     assert calls == [64, 128, 256]
     assert enclosure.precision_bits == calls[-1]
     assert enclosure.lo.cmp_fraction(SQRT2_49) > 0
 
 
-def test_decide_undecided_at_cap():
+def test_decide_undecided_at_cap(monkeypatch):
+    monkeypatch.setattr(bounds, "PRECISION_CAP_BITS", 100)
     calls = []
-    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls), 100)
+    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls))
     assert order is Ordering3.UNDECIDED
     assert calls == [64, 100]
     assert enclosure.precision_bits == 100
     assert contains(enclosure, SQRT2_49)
 
 
-def test_decide_start_above_cap_clamps():
+def test_decide_start_above_cap_clamps(monkeypatch):
+    monkeypatch.setattr(bounds, "PRECISION_CAP_BITS", 16)
     calls = []
-    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls), 16)
+    order, enclosure = decide(SQRT2_49, recording_sqrt2(calls))
     assert order is Ordering3.UNDECIDED
     assert calls == [16]
     assert enclosure.precision_bits == 16

@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opnkit import checks
+from opnkit import bounds, checks
 from opnkit.arith import Factorization, elementary_symmetric, parse_factorization, sigma, value
-from opnkit.bounds import (
-    DEFAULT_PRECISION_CAP_BITS,
-    Ordering3,
-    PrecisionExhaustedError,
-    decide,
-)
+from opnkit.bounds import Ordering3, PrecisionExhaustedError, decide
 from opnkit.checks import (
     CHAIN_LIMIT_MAX,
     PrimeSet,
@@ -218,7 +213,7 @@ def certified_gm_hm(primes, k) -> Ordering3:
     coeffs = elementary_symmetric(primes)
     s_k = Fraction(coeffs[r - k], coeffs[r])
     t = Fraction(comb(r, k) ** r, prod(primes) ** k)
-    order, _ = decide(s_k, lambda bits: nth_root_enclosure(t, r, bits), 1 << 16)
+    order, _ = decide(s_k, lambda bits: nth_root_enclosure(t, r, bits))
     return order
 
 
@@ -300,21 +295,21 @@ def test_run_suite_passes(suite):
 def test_run_suite_honours_precision_cap(monkeypatch):
     # the bounds suite is the one that refines intervals: the cap must reach
     # every comparison, and an open one must raise
-    real = checks.compare_rational_to_bound
-    caps = []
+    real = bounds.decide
+    asked = []  # the bits of every enclosure each comparison requests
 
-    def spy(x, kind, r, precision_cap_bits):
-        caps.append(precision_cap_bits)
-        return real(x, kind, r, precision_cap_bits)
+    def spy(x, enclose):
+        bits = []
+        asked.append(bits)
+        return real(x, lambda b: (bits.append(b), enclose(b))[1])
 
-    monkeypatch.setattr(checks, "compare_rational_to_bound", spy)
     default = run_verify_suite("bounds", trials=50, seed=11)
-    assert caps and set(caps) == {DEFAULT_PRECISION_CAP_BITS}
-    caps.clear()
-    explicit = run_verify_suite("bounds", trials=50, seed=11, precision_cap_bits=4096)
-    assert caps and set(caps) == {4096}
+    monkeypatch.setattr(bounds, "decide", spy)
+    monkeypatch.setattr(bounds, "PRECISION_CAP_BITS", 16)
+    lowered = run_verify_suite("bounds", trials=50, seed=11)
+    assert asked and all(bits == [16] for bits in asked)
     assert default.passed
-    assert explicit.to_json_dict() == default.to_json_dict()
+    assert lowered.to_json_dict() == default.to_json_dict()
     monkeypatch.setattr(checks, "compare_rational_to_bound", lambda *args: Ordering3.UNDECIDED)
     with pytest.raises(PrecisionExhaustedError):
         run_verify_suite("bounds", trials=50, seed=11)

@@ -5,17 +5,21 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opnkit import checks, scan
-from opnkit.bounds import DEFAULT_PRECISION_CAP_BITS, PrecisionExhaustedError
+from opnkit import bounds, checks, constraints, scan
+from opnkit.bounds import BOUNDS_DIGITS_MAX, BOUNDS_R_MAX, PrecisionExhaustedError
+from opnkit.checks import CHAIN_LIMIT_MAX, SUITES
 from opnkit.cli import main
 from opnkit.primes import primes_up_to
-from opnkit.scan import MAX_SPAN, PERFECT_HI_MAX
+from opnkit.scan import MAX_SPAN, PERFECT_HI_MAX, RADICAL_CHAIN_HI_MAX
+from test_api_surface import OPTIONS
 from test_arith import _FACTOR_TEXT
+from test_constraints import HUGE_WELL_FORMED, never_excluding
 from test_primes import fixed_base_liar
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -118,10 +122,21 @@ def test_check_even(capsys):
 
 
 def test_check_undecided_exit_code(capsys):
-    huge = "3^44000*5^2*7^2*11^2*13^2*101^2*10007^2*100000007^2*100000037"
-    code, out, _ = run(capsys, "check", huge)
+    code, out, _ = run(capsys, "check", HUGE_WELL_FORMED)
     assert code == 3
     assert "overall: Undecided" in out
+
+
+def test_check_undecided_bound_exit_code(monkeypatch, capsys):
+    # a bound comparison the cap leaves open is an Undecided verdict; its
+    # evaluator is replaced, since no real product of primes stays open
+    monkeypatch.setattr(constraints, "radical_lower_bound", never_excluding)
+    monkeypatch.setattr(bounds, "PRECISION_CAP_BITS", 256)
+    code, out, err = run(capsys, "check", HUGE_WELL_FORMED)
+    assert (code, err) == (3, "")
+    (line,) = [line for line in out.splitlines() if "radical_bound" in line]
+    assert line.startswith("UNDECIDED radical_bound: radical(N) = ")
+    assert line.endswith(" (undecided at 256-bit cap)")
 
 
 def test_check_beyond_str_digit_limit(capsys):
@@ -204,8 +219,6 @@ def test_verify_bad_trials(capsys):
 def test_precision_cap_env(monkeypatch, capsys):
     # the CLI reads only its arguments: the variable that once set the cap,
     # well formed or not, changes no output and no exit code
-    from opnkit.cli import _build_parser
-
     commands = (
         ["check", "3^2*5*7^2", "--format", "json"],
         ["check", "3^2*5*7^2"],
@@ -214,7 +227,6 @@ def test_precision_cap_env(monkeypatch, capsys):
     plain = [run(capsys, *argv) for argv in commands]
     for raw in ("abc", "1.5", "0", "-4096", "4096"):
         monkeypatch.setenv("OPNKIT_PRECISION_CAP", raw)
-        assert _build_parser().parse_args(["check", "3"]).precision_cap == DEFAULT_PRECISION_CAP_BITS
         assert [run(capsys, *argv) for argv in commands] == plain
 
 
@@ -229,10 +241,13 @@ def test_precision_cap_env(monkeypatch, capsys):
     ],
 )
 def test_precision_arguments_rejected(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
+    # the cap is a constant of opnkit.bounds, no longer an option
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 def test_verify_precision_exhausted_exit_code(monkeypatch, capsys):
@@ -242,20 +257,22 @@ def test_verify_precision_exhausted_exit_code(monkeypatch, capsys):
     argv = ["verify", "gmhm", "--trials", "50", "--seed", "11", "--format", "json"]
     code, default, _ = run(capsys, *argv)
     assert code == 0
-    assert run(capsys, *argv, "--precision-cap", "1") == (0, default, "")
+    monkeypatch.setattr(bounds, "PRECISION_CAP_BITS", 1)
+    assert run(capsys, *argv) == (0, default, "")
 
-    caps = []
+    # the real bounds suite, its radical comparisons kept open up to the cap
+    monkeypatch.setitem(bounds._EVALUATORS, "radical", never_excluding)
+    code, out, err = run(capsys, "verify", "bounds", "--trials", "5")
+    assert (code, out) == (3, "")
+    assert err == "undecided: suite bounds reached the precision cap: bound comparison at 1 bits\n"
 
-    def exhausted(suite, *, precision_cap_bits, **kwargs):
-        caps.append(precision_cap_bits)
+    def exhausted(suite, **kwargs):
         raise PrecisionExhaustedError("bound comparison at 1 bits")
 
     monkeypatch.setattr(cli, "run_verify_suite", exhausted)
     code, out, err = run(capsys, "verify", "bounds", "--trials", "5")
     assert (code, out) == (3, "")
     assert err.startswith("undecided: ") and err.count("\n") == 1
-    assert run(capsys, "verify", "bounds", "--trials", "5", "--precision-cap", "4096")[0] == 3
-    assert caps == [DEFAULT_PRECISION_CAP_BITS, 4096]
 
 
 # --- scan -----------------------------------------------------------------------
@@ -449,6 +466,73 @@ def test_factorization_text_gives_report_or_one_error_line(command, text):
     assert err.getvalue() == "" or (
         err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     )
+
+
+# Values for every option pinned in test_api_surface.OPTIONS: in range, 0,
+# negative and one past each ceiling, yet cheap to run.  `--trials` and
+# `--limit` are always given, so no suite runs its default size, and
+# `--jobs` always, so no scan starts a pool.
+_SCAN_RANGES = [(lo, lo + span) for lo in (-1, 0, 1, 2, 3, 10**8, 10**9 - 4999) for span in (-1, 0, 4999)] + [
+    (PERFECT_HI_MAX - 10, PERFECT_HI_MAX + 1),
+    (RADICAL_CHAIN_HI_MAX - 10, RADICAL_CHAIN_HI_MAX + 1),
+    (2, MAX_SPAN + 2),
+]
+_TEXTS = ["3^2*5*7^2", "3", "2^2*7", "3^4*5^2*7*11", HUGE_WELL_FORMED, "1", "0", "-3", "9", "x", "3²", ""]
+_VALUES = {
+    "bounds": {
+        "-r": st.sampled_from([-1, 0, 1, 2, 9, 50, BOUNDS_R_MAX + 1]),
+        "--digits": st.none() | st.sampled_from([-1, 0, 1, 50, 300, BOUNDS_DIGITS_MAX + 1]),
+    },
+    "check": {"factorization": st.sampled_from(_TEXTS)},
+    "verify": {
+        "suite": st.sampled_from(SUITES),
+        "--trials": st.sampled_from([-1, 0, 1, 20]),
+        "--seed": st.none() | st.sampled_from([-1, 0, 7, 2**64]),
+        "--limit": st.sampled_from([-1, 0, 2, 3, 1000, 10**4, CHAIN_LIMIT_MAX + 1]),
+    },
+    "scan": {
+        "--kind": st.none() | st.sampled_from(["perfect", "radical-chain"]),
+        ("--lo", "--hi"): st.sampled_from(_SCAN_RANGES),
+        "--parity": st.none() | st.sampled_from(["all", "odd", "even"]),
+        "--jobs": st.sampled_from([-1, 0, 1]),
+        "--checkpoint": st.none() | st.sampled_from(["fresh", "missing"]),
+    },
+    "sk": {"factorization": st.sampled_from(_TEXTS)},
+}
+for _values in _VALUES.values():
+    _values["--format"] = st.none() | st.sampled_from(["text", "json"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_VALUES)))
+    argv = [command]
+    for key, values in _VALUES[command].items():
+        value = draw(values)
+        if value is None:
+            continue
+        names, value = (key, value) if isinstance(key, tuple) else ((key,), (value,))
+        for name, v in zip(names, value):
+            argv += [name, str(v)] if name.startswith("-") else [str(v)]
+    return argv
+
+
+def test_argv_values_cover_every_option():
+    got = {command: {n for key in values for n in (key if isinstance(key, tuple) else (key,))}
+           for command, values in _VALUES.items()}
+    assert got == {command: set(options) for command, options in OPTIONS.items()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(_argv())
+def test_argument_vectors_exit_0_to_4_with_at_most_one_stderr_line(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"fresh": os.path.join(tmp, "ck"), "missing": os.path.join(tmp, "missing", "ck")}
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([paths.get(a, a) if prev == "--checkpoint" else a for prev, a in zip(["", *argv], argv)])
+    assert code in (0, 1, 2, 3, 4), (argv, err.getvalue())
+    assert err.getvalue() == "" or (err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1), argv
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from math import prod
 
 import pytest
 
+from opnkit import bounds, constraints
 from opnkit.arith import Factorization, parse_factorization
 from opnkit.bounds import Ordering3, radical_lower_bound, refined_reciprocal_rhs
 from opnkit.constraints import (
@@ -19,6 +20,7 @@ from opnkit.constraints import (
     audit,
     explain,
 )
+from opnkit.interval import Dyadic, Interval
 from opnkit.primes import primes_up_to
 from trial_division import trial_factor
 
@@ -346,14 +348,40 @@ def test_report_json():
     json.dumps(doc)
 
 
-def test_bound_verdict_shows_deciding_enclosure():
+def test_bound_verdict_shows_deciding_enclosure(monkeypatch):
     # 105 clears the r = 3 radical bound (about 56.9) at the first step,
     # which a 16-bit cap clamps to 16 bits
-    v = by_id(audit(parse_factorization("3^2*5*7^2"), precision_cap_bits=16))
+    monkeypatch.setattr(bounds, "PRECISION_CAP_BITS", 16)
+    v = by_id(audit(parse_factorization("3^2*5*7^2")))
     lo, hi = radical_lower_bound(3, 16).to_decimal_pair(20)
     assert v["radical_bound"].verdict is Verdict.PASS
     assert v["radical_bound"].detail == f"radical(N) = 105 vs lower bound in [{lo}, {hi}]"
     assert radical_lower_bound(3, 64).to_decimal_pair(20) != (lo, hi)
+
+
+HUGE_WELL_FORMED = "3^44000*5^2*7^2*11^2*13^2*101^2*10007^2*100000007^2*100000037"
+
+
+def never_excluding(r, bits):
+    """An enclosure of 'the radical bound' that contains every quantity below
+    2**4096, so no precision decides against it."""
+    return Interval(Dyadic(0), Dyadic(1, 4096), bits)
+
+
+def test_bound_verdict_undecided_at_cap(monkeypatch):
+    # no product of distinct primes comes close enough to the real bound to
+    # stay open, so the audit's evaluator is replaced by one that never
+    # excludes the quantity
+    monkeypatch.setattr(constraints, "radical_lower_bound", never_excluding)
+    monkeypatch.setattr(bounds, "PRECISION_CAP_BITS", 256)
+    f = parse_factorization(HUGE_WELL_FORMED)
+    report = audit(f)
+    v = by_id(report)["radical_bound"]
+    assert v.verdict is Verdict.UNDECIDED
+    assert v.detail.startswith(f"radical(N) = {prod(f.primes)} vs lower bound in [0, ")
+    assert v.detail.endswith(" (undecided at 256-bit cap)")
+    assert report.overall is Overall.UNDECIDED
+    assert Verdict.FAIL not in {verdict.verdict for verdict in report.verdicts}
 
 
 @contextlib.contextmanager
