@@ -6,6 +6,16 @@ certified dyadic interval, subtract 1, then raise/divide with outward
 rounding.  Strict comparisons of an exact rational against an irrational
 value are decided by `decide`, never by floating point: the enclosure is
 tightened until it excludes the rational, or a precision cap is hit.
+
+Within one call, 2**(1/r) - 1 is enclosed once per (r, working bits).  The
+outermost call of a function marked `shares_roots` (`decide`,
+`compare_rational_to_bound`, `bounds_report`, `constraints.audit` and
+`checks.run_verify_suite`) opens a store of these enclosures, and drops it
+when it returns, so nothing is cached across calls.  Both bounds read the
+store, and a root refined to more bits continues Newton from the store's
+enclosure of it at the most bits below (see `nth_root_enclosure`), not
+from the float seed.  Outside such a call every enclosure is computed
+afresh.
 """
 
 from __future__ import annotations
@@ -47,13 +57,48 @@ def _work_bits(r: int, precision_bits: int) -> int:
     return precision_bits + 2 * max(1, r.bit_length()) + 24
 
 
+# r -> {working bits: (enclosure of 2**(1/r), its lo - 1, its hi - 1)}; a dict
+# only while a `shares_roots` call runs.  It is module state because the
+# pinned signatures of the entry points leave no parameter to pass it in.
+# Calls that overlap on several threads may share it, or find it dropped and
+# compute afresh: every entry is a certified enclosure, so only time changes.
+_roots: dict | None = None
+
+
+def shares_roots(fn):
+    """`fn`, opening the store of roots for its call unless a caller has."""
+
+    def call(*args, **kwargs):
+        global _roots
+        if _roots is not None:
+            return fn(*args, **kwargs)
+        _roots = {}
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _roots = None
+
+    for name in ("__module__", "__name__", "__qualname__", "__doc__"):
+        setattr(call, name, getattr(fn, name))
+    call.__wrapped__ = fn  # so inspect.signature shows fn's parameters
+    return call
+
+
 def _root_minus_one(r: int, work: int) -> tuple[Dyadic, Dyadic]:
-    root = nth_root_enclosure(2, r, work)
-    lo = root.lo - 1
-    hi = root.hi - 1
-    if lo.mant <= 0:
-        raise AssertionError("enclosure of 2**(1/r) fell at or below 1")
-    return lo, hi
+    """An enclosure of 2**(1/r) - 1 at `work` bits: the store's, when open."""
+    store = _roots  # read once: an outermost call on another thread may drop it
+    levels = {} if store is None else store.setdefault(r, {})
+    found = levels.get(work)
+    if found is None:
+        below = [w for w in levels if w < work]
+        if below:
+            root = nth_root_enclosure(2, r, work, _previous=levels[max(below)][0])
+        else:
+            root = nth_root_enclosure(2, r, work)
+        found = levels[work] = (root, root.lo - 1, root.hi - 1)
+        if found[1].mant <= 0:
+            raise AssertionError("enclosure of 2**(1/r) fell at or below 1")
+    return found[1], found[2]
 
 
 def _radical_from(r: int, work: int, d_lo: Dyadic, d_hi: Dyadic) -> tuple[Dyadic, Dyadic]:
@@ -116,6 +161,7 @@ _EVALUATORS = {
 }
 
 
+@shares_roots
 def decide(x: Fraction, enclose: Callable[[int], Interval]) -> tuple[Ordering3, Interval]:
     """Certified strict comparison of a rational x against a real value.
 
@@ -126,6 +172,13 @@ def decide(x: Fraction, enclose: Callable[[int], Interval]) -> tuple[Ordering3, 
     PRECISION_CAP_BITS (UNDECIDED).  The enclosure that settled it comes
     back too; its precision_bits are the bits used, and equal the cap when
     the comparison is UNDECIDED.
+
+    The call shares one store of roots of two (see the module docstring),
+    so when `enclose` is built from `radical_lower_bound` or
+    `prime_sum_lower_bound`, each level encloses 2**(1/r) once and a
+    higher level continues Newton from the level below it, not from the
+    float seed.  The store is dropped when the outermost such call returns;
+    nothing is cached across calls.
     """
     cap = PRECISION_CAP_BITS
     bits = min(DEFAULT_START_BITS, cap)
@@ -140,6 +193,7 @@ def decide(x: Fraction, enclose: Callable[[int], Interval]) -> tuple[Ordering3, 
         bits = min(bits * 2, cap)
 
 
+@shares_roots
 def compare_rational_to_bound(x, kind: str, r: int) -> Ordering3:
     """Certified strict comparison of a rational against a bound expression.
 
@@ -192,6 +246,7 @@ class BoundsReport:
         }
 
 
+@shares_roots
 def bounds_report(r: int, precision_bits: int) -> BoundsReport:
     """Both lower bounds and the upper bound for r, from one root of 2.
 

@@ -21,7 +21,13 @@ from math import comb, isqrt, prod
 
 from .arith import Factorization, elementary_symmetric, render, sigma, value
 from . import bounds
-from .bounds import Ordering3, PrecisionExhaustedError, compare_rational_to_bound, refined_reciprocal_rhs
+from .bounds import (
+    Ordering3,
+    PrecisionExhaustedError,
+    compare_rational_to_bound,
+    refined_reciprocal_rhs,
+    shares_roots,
+)
 from .primes import is_prime, primes_up_to
 from .scan import spf_sieve_odd
 
@@ -140,14 +146,16 @@ def check_bound_implication(ps: PrimeSet) -> bool:
 def check_reciprocal_implication(ps: PrimeSet) -> bool:
     """If the radical's abundancy is < 1, the prime reciprocals sum below 1.
 
-    Fully rational; vacuously true when the premise fails.
+    Decided in integers over the common denominator rad = prod(primes), as
+    sum(rad / p) < rad; vacuously true when the premise fails.
     """
     primes = ps.primes
     if not primes:
         raise ValueError("empty prime set")
     if not _radical_abundancy_below_one(primes):
         return True
-    return sum(Fraction(1, p) for p in primes) < 1
+    rad = prod(primes)
+    return sum(rad // p for p in primes) < rad
 
 
 def check_refined_reciprocal_implication(ps: PrimeSet) -> bool:
@@ -155,20 +163,24 @@ def check_refined_reciprocal_implication(ps: PrimeSet) -> bool:
 
     Unconditionally asserts sum_{k>=2} S_k >= (1 + 1/P)**r - (1 + r/P) with
     P the largest prime; when the radical's abundancy is < 1 it additionally
-    asserts sum(1/p) < 1 - ((1 + 1/P)**r - (1 + r/P)).  Fully rational.
+    asserts sum(1/p) < 1 - ((1 + 1/P)**r - (1 + r/P)).
+
+    Decided in integers: with S_k = e_{r-k} / e_r over the elementary
+    symmetric sums e_j of the primes and the ceiling num / den (den > 0),
+    the first reads sum_{j <= r-2} e_j * den >= (den - num) * e_r and the
+    second e_{r-1} * den < num * e_r.
     """
     primes = ps.primes
     if not primes:
         raise ValueError("empty prime set")
     r = len(primes)
-    largest = primes[-1]
     coeffs = elementary_symmetric(primes)
-    sums = [Fraction(coeffs[r - k], coeffs[r]) for k in range(1, r + 1)]
-    ceiling = refined_reciprocal_rhs(r, largest)
-    if sum(sums[1:], Fraction(0)) < 1 - ceiling:
+    ceiling = refined_reciprocal_rhs(r, primes[-1])
+    num, den = ceiling.numerator, ceiling.denominator
+    if sum(coeffs[: r - 1]) * den < (den - num) * coeffs[r]:
         return False
     if _radical_abundancy_below_one(primes):
-        if not sums[0] < ceiling:
+        if not coeffs[r - 1] * den < num * coeffs[r]:
             return False
     return True
 
@@ -204,6 +216,7 @@ def _random_lift_case(rng: random.Random, pool):
     return Factorization(tuple(zip(primes, exps))), star, n
 
 
+@shares_roots
 def run_verify_suite(
     suite: str,
     *,
@@ -231,8 +244,12 @@ def run_verify_suite(
 
     The `bounds` suite is the only one that refines intervals, each up to
     `bounds.decide`'s fixed cap; a decision the cap leaves open raises
-    PrecisionExhaustedError.  Every other suite, `gmhm` included, is
-    decided exactly in integers.
+    PrecisionExhaustedError.  The call opens one store of roots of two
+    (see `opnkit.bounds`), so it encloses 2**(1/r) - 1 once per distinct
+    (r, working bits) over all its trials, and a refinement continues
+    Newton from the level below; the store is dropped when the call
+    returns, so nothing is cached across calls.  Every other suite, `gmhm`
+    included, is decided exactly in integers.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")

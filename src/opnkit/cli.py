@@ -33,7 +33,7 @@ from .bounds import (
 from .checks import SUITES, run_verify_suite
 from .constraints import Overall, audit, explain
 from .interval import digit_string
-from .scan import CheckpointError, scan_perfect, scan_radical_chain
+from .scan import CheckpointError, scan_perfect, scan_radical_chain, usable_cpus
 
 _DIGIT_SAFETY_BITS = 8
 
@@ -90,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--lo", type=int, required=True)
     p_scan.add_argument("--hi", type=int, required=True)
     p_scan.add_argument("--parity", choices=("all", "odd", "even"), default="all")
-    p_scan.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_scan.add_argument("--jobs", type=int, default=usable_cpus(),
+                        help="worker processes, at most the usable CPUs (default: all of them)")
     p_scan.add_argument("--checkpoint", help="JSON-lines file of completed blocks (resumable)")
     p_scan.add_argument("--format", choices=("text", "json"), default="text")
 

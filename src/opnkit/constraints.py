@@ -24,6 +24,7 @@ from .bounds import (
     radical_lower_bound,
     prime_sum_lower_bound,
     refined_reciprocal_rhs,
+    shares_roots,
 )
 from .interval import Dyadic, digit_string, to_decimal
 
@@ -156,6 +157,21 @@ def _compare_factored(pairs, target) -> Ordering3:
     return Ordering3.UNDECIDED
 
 
+def _exceeds_ten_to_20(p: int, e: int) -> bool:
+    """p**e > 10**20, for p >= 2, decided in integers.
+
+    2**(bitlen(p) - 1) <= p < 2**bitlen(p) and 2**66 < 10**20 < 2**67, so
+    e * bitlen(p) <= 66 puts p**e below and e * (bitlen(p) - 1) >= 67
+    above; between the two, p**e < 2**(66 + e) <= 2**132 is built.
+    """
+    length = p.bit_length()
+    if e * length <= 66:
+        return False
+    if e * (length - 1) >= 67:
+        return True
+    return p**e > 10**20
+
+
 def _check(cid: str, ok: bool, detail: str) -> ConstraintVerdict:
     return ConstraintVerdict(cid, Verdict.PASS if ok else Verdict.FAIL, detail)
 
@@ -197,12 +213,14 @@ def _bound_verdict(cid: str, quantity: int, evaluator, r: int, name: str) -> Con
     return ConstraintVerdict(cid, Verdict.UNDECIDED, detail + f" (undecided at {enclosure.precision_bits}-bit cap)")
 
 
+@shares_roots
 def audit(f: Factorization) -> ConstraintReport:
     """Run the full battery of necessary conditions against a candidate.
 
     An even candidate (or N = 1) fails the parity gate immediately and is
     reported with that single verdict; otherwise every check runs and every
-    verdict is reported.
+    verdict is reported.  Both bound verdicts read one enclosure of
+    2**(1/r) - 1 per precision level (see `opnkit.bounds`).
     """
     pairs = f.pairs
     if not pairs or pairs[0][0] == 2:
@@ -287,11 +305,9 @@ def audit(f: Factorization) -> ConstraintReport:
             )
         )
 
-    ten_to_20 = ((2, 20), (5, 20))
-    big = [(p, e) for p, e in pairs if _compare_factored(((p, e),), ten_to_20) is Ordering3.ABOVE]
+    big = next(((p, e) for p, e in pairs if _exceeds_ten_to_20(p, e)), None)
     if big:
-        p, e = big[0]
-        detail = f"{p}^{e} > 10^20"
+        detail = f"{big[0]}^{big[1]} > 10^20"
     else:
         detail = "no prime-power component exceeds 10^20"
     verdicts.append(_check("cohen_component", bool(big), detail))
@@ -317,10 +333,11 @@ def audit(f: Factorization) -> ConstraintReport:
             )
         )
 
-    verdicts.append(_bound_verdict("radical_bound", prod(primes), radical_lower_bound, r, "radical(N)"))
+    rad = prod(primes)
+    verdicts.append(_bound_verdict("radical_bound", rad, radical_lower_bound, r, "radical(N)"))
     verdicts.append(_bound_verdict("prime_sum_bound", sum(primes), prime_sum_lower_bound, r, "prime_sum(N)"))
 
-    recip = sum(Fraction(1, p) for p in primes)
+    recip = Fraction(sum(rad // p for p in primes), rad)  # sum(1/p), reduced once
     recip_s = _fmt_fraction(recip)
     verdicts.append(
         _check(

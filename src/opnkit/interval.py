@@ -371,8 +371,7 @@ def _root_newton(t: Fraction, k: int, bits: int) -> Dyadic:
     `bits` (that step always runs, however small `bits` is).  Nothing here
     is trusted: `nth_root_enclosure` proves its enclosure independently.
     """
-    levels = _newton_precisions(k, bits)
-    base = levels[0]
+    base = _newton_precisions(k, bits)[0]
     x = _root_seed(t, k)
     for _ in range(80):
         x_next = _newton_step(t, k, x, base)
@@ -380,12 +379,19 @@ def _root_newton(t: Fraction, k: int, bits: int) -> Dyadic:
         x = x_next
         if delta.mant == 0 or delta.msb <= x.msb - base + 4:
             break
-    for level in levels[1:]:
-        x = _newton_step(t, k, x, level)
+    return _newton_climb(t, k, x, base, bits)
+
+
+def _newton_climb(t: Fraction, k: int, x: Dyadic, good: int, bits: int) -> Dyadic:
+    """Newton from an iterate x good to about `good` bits up to `bits`: one
+    step at each level of `_newton_precisions(k, bits)` above `good`."""
+    for level in _newton_precisions(k, bits):
+        if level > good:
+            x = _newton_step(t, k, x, level)
     return x
 
 
-def nth_root_enclosure(t, k: int, precision_bits: int) -> Interval:
+def nth_root_enclosure(t, k: int, precision_bits: int, *, _previous: Interval | None = None) -> Interval:
     """Certified enclosure of t**(1/k) for rational t > 0, k >= 1.
 
     The candidate comes from `_root_newton` at work = precision_bits + 16
@@ -398,6 +404,14 @@ def nth_root_enclosure(t, k: int, precision_bits: int) -> Interval:
     on how accurate Newton was: a poor candidate costs a wider slack, or a
     retry at twice the work precision, never a wrong enclosure.  For
     values near 1 the width is at most 2**-(precision_bits+2).
+
+    `_previous` is private to `opnkit.bounds`, which refines a root it
+    enclosed earlier in the same call.  It is an enclosure this function
+    returned for the same t and k at lower precision, so its midpoint is
+    that call's candidate, good to its precision_bits + 16.  Newton then
+    continues from there, one step per level of the schedule above that,
+    not from the float seed (Brent & Zimmermann, *Modern Computer
+    Arithmetic*, section 4.2).  The proof is the same either way.
     """
     t = Fraction(t)
     if t <= 0:
@@ -407,8 +421,12 @@ def nth_root_enclosure(t, k: int, precision_bits: int) -> Interval:
     if precision_bits < 1:
         raise ValueError("precision_bits must be positive")
     work = precision_bits + 16
-    while True:
+    if _previous is None:
         cand = _root_newton(t, k, work)
+    else:
+        mid = _previous.lo + _previous.hi
+        cand = _newton_climb(t, k, Dyadic(mid.mant, mid.exp - 1), _previous.precision_bits + 16, work)
+    while True:
         ulp = Dyadic(1, cand.msb - work)
         slack = 2
         while slack <= 1 << 12:
@@ -422,3 +440,4 @@ def nth_root_enclosure(t, k: int, precision_bits: int) -> Interval:
                 return Interval(lo, hi, precision_bits)
             slack *= 4
         work *= 2  # defensive; Newton is expected to land on the first pass
+        cand = _root_newton(t, k, work)

@@ -311,6 +311,16 @@ def _count_parity(lo: int, hi: int, parity: str) -> int:
     return odd if parity == "odd" else hi - lo + 1 - odd
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, the most workers a scan starts: its
+    affinity set where the platform has one, else os.cpu_count()."""
+    import os  # loaded with the interpreter itself
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_scan(
     kind: str, hits, hi_max: int, lo: int, hi: int, parity: str, jobs: int, checkpoint
 ) -> ScanReport:
@@ -357,12 +367,13 @@ def _run_scan(
         if checkpoint:
             ckpt_fh = stack.enter_context(open(checkpoint, "a", encoding="utf-8"))
             ckpt_fh.truncate(whole)  # drop a torn last line before appending
-        if jobs == 1 or len(tasks) <= 1:
+        workers = min(jobs, len(tasks), usable_cpus())
+        if workers <= 1:
             results = map(_scan_segment, tasks)
         else:
             from multiprocessing import Pool
 
-            pool = stack.enter_context(Pool(processes=min(jobs, len(tasks))))
+            pool = stack.enter_context(Pool(processes=workers))
             results = pool.imap_unordered(_scan_segment, tasks)
         for seg in results:
             for idx, viols in seg:
@@ -394,7 +405,8 @@ def scan_perfect(
     """Find every perfect number in [lo, hi] with the requested parity.
 
     The report's `violations` are the perfect numbers found.  Results are
-    identical for any `jobs` value.  `checkpoint` names a JSON-lines file
+    identical for any `jobs` value; at most `usable_cpus()` workers run,
+    and none when one would do.  `checkpoint` names a JSON-lines file
     for resumable scans, one record per completed block of BLOCK_SIZE =
     2**16 numbers; a file that another scan wrote raises CheckpointError.
     `hi` may not exceed PERFECT_HI_MAX = 10**12.  int64 is exact far beyond it: sigma(n) <= n*(1 + ln n) < 3e13 there.

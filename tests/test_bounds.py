@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import mpmath
 import pytest
@@ -329,3 +330,98 @@ def test_decide_start_above_cap_clamps(monkeypatch):
     assert order is Ordering3.UNDECIDED
     assert calls == [16]
     assert enclosure.precision_bits == 16
+
+
+# --- the call-scoped store of roots of two -------------------------------------------
+
+
+def spy_roots(monkeypatch):
+    """Record (k, bits) of each root `bounds` encloses."""
+    calls = []
+    enclose = bounds.nth_root_enclosure
+
+    def spy(t, k, bits, **warm):
+        calls.append((k, bits))
+        return enclose(t, k, bits, **warm)
+
+    monkeypatch.setattr(bounds, "nth_root_enclosure", spy)
+    return calls
+
+
+def test_bounds_suite_encloses_each_root_once(monkeypatch):
+    from opnkit.checks import run_verify_suite
+
+    calls = spy_roots(monkeypatch)
+    first = run_verify_suite("bounds", trials=150, seed=20100806)
+    assert len(calls) == len(set(calls)) == 11
+    # the store is dropped when the call returns: a second call encloses anew
+    calls.clear()
+    assert run_verify_suite("bounds", trials=150, seed=20100806) == first
+    assert len(calls) == 11
+    assert bounds._roots is None
+
+
+def test_audit_encloses_one_root_per_level(monkeypatch):
+    # starting at 1 bit, with no guard bits, both bound decisions climb
+    # several levels; they share one enclosure of 2**(1/r) - 1 per level,
+    # and the deeper one sets how many levels there are
+    from opnkit.arith import parse_factorization
+    from opnkit.constraints import audit
+
+    monkeypatch.setattr(bounds, "DEFAULT_START_BITS", 1)
+    monkeypatch.setattr(bounds, "_work_bits", lambda r, bits: bits)
+    primes = (3, 5, 7, 11, 13, 17, 19, 23, 29)
+    r = len(primes)
+    deepest = max(
+        decide(Fraction(x), lambda bits, f=f: f(r, bits))[1].precision_bits
+        for x, f in ((prod(primes), radical_lower_bound), (sum(primes), prime_sum_lower_bound))
+    )
+    levels = [1 << i for i in range(deepest.bit_length())]
+    assert len(levels) >= 3
+    calls = spy_roots(monkeypatch)
+    audit(parse_factorization("*".join(map(str, primes))))
+    assert calls == [(r, bits) for bits in levels]
+    assert bounds._roots is None
+
+
+def test_store_is_dropped_on_error():
+    with pytest.raises(ValueError):
+        compare_rational_to_bound(Fraction(5), "radical", 0)
+    assert bounds._roots is None
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024, 4096, 16384])
+def test_warm_started_root_against_mpmath(monkeypatch, bits):
+    # a root refined from the enclosure at half the bits continues Newton
+    # from there, never from the float seed, and keeps the proof's guarantee
+    from opnkit import interval
+
+    rs = (2, 3, 9, 97, 1000, 10**4)
+    previous = {r: nth_root_enclosure(2, r, bits // 2) for r in rs}
+    monkeypatch.setattr(interval, "_root_newton", lambda *args: pytest.fail("started from the float seed"))
+    for r in rs:
+        iv = nth_root_enclosure(2, r, bits, _previous=previous[r])
+        root = mp_oracle(lambda: mpmath.root(2, r), bits + 64)
+        assert contains(iv, root), (r, bits)
+        assert width(iv) <= Fraction(1, 2 ** (bits + 2)), (r, bits)
+
+
+def test_warm_decision_matches_cold():
+    # near-tie decisions refine with the store; each settles at the level
+    # where enclosures computed afresh, outside any call, settle it too
+    rng = random.Random(25)
+    for _ in range(8):
+        r, k = rng.randint(2, 3000), rng.choice([300, 1000, 2000])
+        f = rng.choice([radical_lower_bound, prime_sum_lower_bound])
+        iv = f(r, k + 64)
+        mid = (iv.lo.as_fraction() + iv.hi.as_fraction()) / 2
+        for x in (mid * (1 - Fraction(1, 2**k)), mid * (1 + Fraction(1, 2**k))):
+            order, enclosure = decide(x, lambda bits: f(r, bits))
+            bits = enclosure.precision_bits
+            assert bits > 64 and bounds._roots is None
+            cold = f(r, bits)
+            assert (cold.lo.cmp_fraction(x) > 0, cold.hi.cmp_fraction(x) < 0) == (
+                order is Ordering3.BELOW,
+                order is Ordering3.ABOVE,
+            )
+            assert contains(f(r, bits // 2), x)

@@ -268,6 +268,39 @@ def test_refined_reciprocal_examples():
     assert check_refined_reciprocal_implication(PrimeSet((3,)))
 
 
+def recip_by_fractions(primes) -> bool:
+    return not prod(p + 1 for p in primes) < 2 * prod(primes) or sum(Fraction(1, p) for p in primes) < 1
+
+
+def refined_recip_by_fractions(primes) -> bool:
+    r = len(primes)
+    coeffs = elementary_symmetric(primes)
+    sums = [Fraction(coeffs[r - k], coeffs[r]) for k in range(1, r + 1)]
+    ceiling = bounds.refined_reciprocal_rhs(r, primes[-1])
+    if sum(sums[1:], Fraction(0)) < 1 - ceiling:
+        return False
+    return not prod(p + 1 for p in primes) < 2 * prod(primes) or sums[0] < ceiling
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(primes_up_to(2000)[1:]), min_size=1, max_size=14, unique=True))
+def test_reciprocal_checks_match_fraction_forms(primes):
+    # the integer cross-multiplications decide as the Fraction sums do; the
+    # small primes reach the premise, and the refined inequality is tight at r = 1
+    ps = PrimeSet(tuple(sorted(primes)))
+    assert check_reciprocal_implication(ps) is recip_by_fractions(ps.primes)
+    assert check_refined_reciprocal_implication(ps) is refined_recip_by_fractions(ps.primes)
+
+
+def test_refined_reciprocal_boundary(monkeypatch):
+    # S_2 + S_3 = 16/105 for (3, 5, 7): the supporting inequality holds at a
+    # ceiling of exactly 1 - 16/105 and fails just below it
+    ps = PrimeSet((3, 5, 7))
+    for ceiling, holds in ((Fraction(89, 105), True), (Fraction(89, 105) - Fraction(1, 10**9), False)):
+        monkeypatch.setattr(checks, "refined_reciprocal_rhs", lambda r, p: ceiling)
+        assert check_refined_reciprocal_implication(ps) is holds
+
+
 def test_implications_randomized():
     rng = random.Random(2718)
     for _ in range(400):

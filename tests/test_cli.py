@@ -15,6 +15,7 @@ from opnkit import bounds, checks, constraints, scan
 from opnkit.bounds import BOUNDS_DIGITS_MAX, BOUNDS_R_MAX, PrecisionExhaustedError
 from opnkit.checks import CHAIN_LIMIT_MAX, SUITES
 from opnkit.cli import main
+from opnkit.interval import digit_string
 from opnkit.primes import primes_up_to
 from opnkit.scan import MAX_SPAN, PERFECT_HI_MAX, RADICAL_CHAIN_HI_MAX
 from test_api_surface import OPTIONS
@@ -440,6 +441,21 @@ def test_sk_computes_coefficients_once(monkeypatch, capsys):
     code, out, _ = run(capsys, "sk", "3*5*7")
     assert code == 0 and "identity check: radical*(1 + sum S_k) = 192, prod(1 + p) = 192 -> ok" in out
     assert calls == [(3, 5, 7)]
+
+
+def test_sk_past_the_str_digit_limit(capsys):
+    # the 1229 odd primes up to 10007, the fewest whose radical has more than
+    # 4300 digits, at the interpreter's own limit: text and JSON both exit 0
+    primes = primes_up_to(10007)[1:]
+    assert len(str(math.prod(primes[:-1]))) <= 4300 < len(digit_string(math.prod(primes)))
+    text = "*".join(map(str, primes))
+    code, out, err = run(capsys, "sk", text)
+    assert (code, err) == (0, "")
+    assert out.rstrip().endswith("-> ok")
+    code, out, err = run(capsys, "sk", text, "--format", "json")
+    assert (code, err) == (0, "")
+    assert f'"denominator":{digit_string(math.prod(primes))}' in out
+    assert '"holds":true' in out
 
 
 def test_sk_parse_error(capsys):

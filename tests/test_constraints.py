@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opnkit import bounds, constraints
 from opnkit.arith import Factorization, parse_factorization
@@ -15,8 +17,8 @@ from opnkit.constraints import (
     Overall,
     Verdict,
     _compare_factored,
+    _exceeds_ten_to_20,
     _fmt_int,
-    _compare_factored,
     audit,
     explain,
 )
@@ -184,7 +186,7 @@ def test_cohen_component():
 
 
 def test_power_exceeds():
-    # the cohen_component test: a prime power against 10^20, never expanded when huge
+    # a prime power against 10^20 by log2 windows, never expanded when huge
     def exceeds(p, e):
         return _compare_factored(((p, e),), ((2, 20), (5, 20))) is Ordering3.ABOVE
 
@@ -193,6 +195,29 @@ def test_power_exceeds():
     assert exceeds(10**21 + 7 + 10, 1)
     assert not exceeds(99999989, 2)  # ~1e16
     assert exceeds(3, 2**31)
+
+
+def test_cohen_component_in_integers():
+    # 3^41 < 10^20 < 3^42 falls between the two bit-length rules
+    assert 3**41 < 10**20 < 3**42
+    assert not _exceeds_ten_to_20(3, 41) and _exceeds_ten_to_20(3, 42)
+    for text, verdict, detail in (
+        ("3^41*5", Verdict.FAIL, "no prime-power component exceeds 10^20"),
+        ("3^42*5", Verdict.PASS, "3^42 > 10^20"),
+    ):
+        v = by_id(audit(parse_factorization(text)))["cohen_component"]
+        assert (v.verdict, v.detail) == (verdict, detail)
+    assert _exceeds_ten_to_20(3, 2**31) and not _exceeds_ten_to_20(2, 66) and _exceeds_ten_to_20(2, 67)
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 2**70), st.integers(1, 140))
+def test_cohen_component_matches_exact_power(p, e):
+    # against the expanded power and the log2-window comparator
+    expected = p**e > 10**20
+    assert _exceeds_ten_to_20(p, e) is expected
+    window = _compare_factored(((p, e),), ((2, 20), (5, 20)))
+    assert (window is Ordering3.ABOVE) is expected
 
 
 def pow2(k):

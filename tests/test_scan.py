@@ -193,15 +193,14 @@ def test_parity_routing_visits_each_n_once(monkeypatch, lo, hi):
             assert calls == [("all", a, b) for a, b in segments]
 
 
-@pytest.mark.parametrize("jobs, expected", [(64, 3), (3, 3), (2, 2)])
-def test_pool_no_larger_than_the_work(monkeypatch, jobs, expected):
+def recording_pool(monkeypatch):
+    """Replace multiprocessing.Pool by one that records the pool size asked
+    for and runs the tasks in this process, starting no worker."""
     import multiprocessing
 
     sizes = []
 
     class RecordingPool:
-        """Records the pool size asked for; runs the tasks in this process."""
-
         def __init__(self, processes):
             sizes.append(processes)
 
@@ -214,13 +213,41 @@ def test_pool_no_larger_than_the_work(monkeypatch, jobs, expected):
         def imap_unordered(self, func, tasks):
             return map(func, tasks)
 
-    expected_violations = scan_perfect(2, 12_001).violations
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs, expected", [(64, 3), (3, 3), (2, 2)])
+def test_pool_no_larger_than_the_work(monkeypatch, jobs, expected):
+    expected_violations = scan_perfect(2, 12_001).violations
+    monkeypatch.setattr(scan, "usable_cpus", lambda: 64)  # the work alone bounds the pool
+    sizes = recording_pool(monkeypatch)
     monkeypatch.setattr(scan, "BLOCK_SIZE", 4000)
     monkeypatch.setattr(scan, "_SEGMENT_ELEMS", 4000)  # one block a segment
     rep = scan_perfect(2, 12_001, jobs=jobs)  # three segments
     assert sizes == [expected]
     assert rep.violations == expected_violations
+
+
+def test_pool_no_larger_than_the_cpus(monkeypatch):
+    # 477 jobs over 500 segments start one worker per usable CPU
+    import os
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert scan.usable_cpus() == cpus
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 1000)
+    monkeypatch.setattr(scan, "_SEGMENT_ELEMS", 1000)  # one block a segment
+    expected = scan_perfect(2, 500_001, jobs=1)
+    sizes = recording_pool(monkeypatch)
+    assert scan_perfect(2, 500_001, jobs=477).violations == expected.violations
+    assert sizes == ([cpus] if cpus > 1 else [])
+
+
+def test_cli_jobs_default_is_the_cpu_count():
+    from opnkit.cli import _build_parser
+
+    args = _build_parser().parse_args(["scan", "--lo", "2", "--hi", "10"])
+    assert args.jobs == scan.usable_cpus()
 
 
 @st.composite
