@@ -9,13 +9,12 @@ tightened until it excludes the rational, or a precision cap is hit.
 
 Within one call, 2**(1/r) - 1 is enclosed once per (r, working bits).  The
 outermost call of a function marked `shares_roots` (`decide`,
-`compare_rational_to_bound`, `bounds_report`, `constraints.audit` and
-`checks.run_verify_suite`) opens a store of these enclosures, and drops it
-when it returns, so nothing is cached across calls.  Both bounds read the
-store, and a root refined to more bits continues Newton from the store's
-enclosure of it at the most bits below (see `nth_root_enclosure`), not
-from the float seed.  Outside such a call every enclosure is computed
-afresh.
+`bounds_report`, `constraints.audit` and `checks.run_verify_suite`) opens
+a store of these enclosures, and drops it when it returns, so nothing is
+cached across calls.  Both bounds read the store, and a root refined to
+more bits continues Newton from the store's enclosure of it at the most
+bits below (see `nth_root_enclosure`), not from the float seed.  Outside
+such a call every enclosure is computed afresh.
 """
 
 from __future__ import annotations
@@ -114,14 +113,13 @@ def _prime_sum_from(r: int, work: int, d_lo: Dyadic, d_hi: Dyadic) -> tuple[Dyad
     return div_dir(r_dyadic, d_hi, work, up=False), div_dir(r_dyadic, d_lo, work, up=True)
 
 
-def _lower_bounds(r: int, precision_bits: int, *derive) -> list[Interval]:
-    """One enclosure per derivation, all from one enclosure of 2**(1/r) - 1."""
+def _lower_bound(r: int, precision_bits: int, derive) -> Interval:
+    """The bound `derive` makes from an enclosure of 2**(1/r) - 1."""
     _validate(r, precision_bits)
     if r == 1:
-        return [Interval.point(1, precision_bits) for _ in derive]
+        return Interval.point(1, precision_bits)
     work = _work_bits(r, precision_bits)
-    d = _root_minus_one(r, work)
-    return [Interval(*f(r, work, *d), precision_bits) for f in derive]
+    return Interval(*derive(r, work, *_root_minus_one(r, work)), precision_bits)
 
 
 def radical_lower_bound(r: int, precision_bits: int) -> Interval:
@@ -131,14 +129,12 @@ def radical_lower_bound(r: int, precision_bits: int) -> Interval:
     must exceed this value, so it lower-bounds the radical of an odd
     perfect number with r distinct prime factors.
     """
-    (bound,) = _lower_bounds(r, precision_bits, _radical_from)
-    return bound
+    return _lower_bound(r, precision_bits, _radical_from)
 
 
 def prime_sum_lower_bound(r: int, precision_bits: int) -> Interval:
     """Certified enclosure of r / (2**(1/r) - 1); exact 1 when r = 1."""
-    (bound,) = _lower_bounds(r, precision_bits, _prime_sum_from)
-    return bound
+    return _lower_bound(r, precision_bits, _prime_sum_from)
 
 
 def refined_reciprocal_rhs(r: int, largest_prime: int) -> Fraction:
@@ -193,7 +189,6 @@ def decide(x: Fraction, enclose: Callable[[int], Interval]) -> tuple[Ordering3, 
         bits = min(bits * 2, cap)
 
 
-@shares_roots
 def compare_rational_to_bound(x, kind: str, r: int) -> Ordering3:
     """Certified strict comparison of a rational against a bound expression.
 
@@ -250,9 +245,10 @@ class BoundsReport:
 def bounds_report(r: int, precision_bits: int) -> BoundsReport:
     """Both lower bounds and the upper bound for r, from one root of 2.
 
-    The two lower bounds equal `radical_lower_bound(r, precision_bits)` and
-    `prime_sum_lower_bound(r, precision_bits)`: they share the working
-    precision, so the enclosure of 2**(1/r) - 1 is computed once for both.
+    The two lower bounds are `radical_lower_bound(r, precision_bits)` and
+    `prime_sum_lower_bound(r, precision_bits)`.  They share the working
+    precision, and the call's store of roots encloses 2**(1/r) - 1 once
+    for both.
 
     `r` is at most BOUNDS_R_MAX = 10**6, checked before any enclosure is
     computed.  What grows fastest with r is not a bound but the report's
@@ -272,11 +268,10 @@ def bounds_report(r: int, precision_bits: int) -> BoundsReport:
     """
     if r > BOUNDS_R_MAX:
         raise ValueError(f"r is at most {BOUNDS_R_MAX}, got {r}")
-    radical, prime_sum = _lower_bounds(r, precision_bits, _radical_from, _prime_sum_from)
     return BoundsReport(
         r=r,
-        radical_lb=radical,
-        prime_sum_lb=prime_sum,
+        radical_lb=radical_lower_bound(r, precision_bits),
+        prime_sum_lb=prime_sum_lower_bound(r, precision_bits),
         n_ub_log2=4**r,
         precision_bits=precision_bits,
     )

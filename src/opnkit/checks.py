@@ -39,13 +39,15 @@ CHAIN_LIMIT_MAX = 10**8  # memory and walk time grow with the limit; see run_ver
 
 @dataclass(frozen=True)
 class PrimeSet:
-    """Strictly increasing distinct odd primes (each >= 3)."""
+    """A non-empty, strictly increasing tuple of distinct odd primes (each >= 3)."""
 
     primes: tuple[int, ...]
 
     def __post_init__(self):
         primes = tuple(int(p) for p in self.primes)
         object.__setattr__(self, "primes", primes)
+        if not primes:
+            raise ValueError("empty prime set")
         last = 1
         for p in primes:
             if p <= last:
@@ -58,8 +60,8 @@ class PrimeSet:
 
     @classmethod
     def _from_checked(cls, primes: tuple[int, ...]) -> "PrimeSet":
-        # skips validation: callers must pass a strictly increasing tuple of
-        # odd ints they already know to be prime
+        # skips validation: callers must pass a non-empty, strictly increasing
+        # tuple of odd ints they already know to be prime
         obj = object.__new__(cls)
         object.__setattr__(obj, "primes", primes)
         return obj
@@ -131,8 +133,6 @@ def check_bound_implication(ps: PrimeSet) -> bool:
     hits the precision cap.
     """
     primes = ps.primes
-    if not primes:
-        raise ValueError("empty prime set")
     if not _radical_abundancy_below_one(primes):
         return True
     r = len(primes)
@@ -150,8 +150,6 @@ def check_reciprocal_implication(ps: PrimeSet) -> bool:
     sum(rad / p) < rad; vacuously true when the premise fails.
     """
     primes = ps.primes
-    if not primes:
-        raise ValueError("empty prime set")
     if not _radical_abundancy_below_one(primes):
         return True
     rad = prod(primes)
@@ -159,30 +157,32 @@ def check_reciprocal_implication(ps: PrimeSet) -> bool:
 
 
 def check_refined_reciprocal_implication(ps: PrimeSet) -> bool:
-    """Refined reciprocal ceiling, plus its supporting symmetric-sum bound.
+    """Refined reciprocal ceiling: sum_{k>=2} S_k >= 1 - c, where
+    c = 1 - ((1 + 1/P)**r - (1 + r/P)) and P is the largest prime.
 
-    Unconditionally asserts sum_{k>=2} S_k >= (1 + 1/P)**r - (1 + r/P) with
-    P the largest prime; when the radical's abundancy is < 1 it additionally
-    asserts sum(1/p) < 1 - ((1 + 1/P)**r - (1 + r/P)).
+    This settles the ceiling sum(1/p) = S_1 < c whenever the radical's
+    abundancy is < 1, so that is not tested apart: the premise reads
+    prod(1 + 1/p) < 2, i.e. sum_{k>=1} S_k < 1, and subtracting
+    sum_{k>=2} S_k >= 1 - c leaves S_1 < c.
 
     Decided in integers: with S_k = e_{r-k} / e_r over the elementary
-    symmetric sums e_j of the primes and the ceiling num / den (den > 0),
-    the first reads sum_{j <= r-2} e_j * den >= (den - num) * e_r and the
-    second e_{r-1} * den < num * e_r.
+    symmetric sums e_j of the primes and c = num / den (den > 0), it reads
+    sum_{j <= r-2} e_j * den >= (den - num) * e_r.
     """
     primes = ps.primes
-    if not primes:
-        raise ValueError("empty prime set")
     r = len(primes)
     coeffs = elementary_symmetric(primes)
     ceiling = refined_reciprocal_rhs(r, primes[-1])
     num, den = ceiling.numerator, ceiling.denominator
-    if sum(coeffs[: r - 1]) * den < (den - num) * coeffs[r]:
-        return False
-    if _radical_abundancy_below_one(primes):
-        if not coeffs[r - 1] * den < num * coeffs[r]:
-            return False
-    return True
+    return sum(coeffs[: r - 1]) * den >= (den - num) * coeffs[r]
+
+
+# the suites that make one check per random prime set
+_PRIME_SET_CHECKS = {
+    "bounds": check_bound_implication,
+    "recip": check_reciprocal_implication,
+    "recip-refined": check_refined_reciprocal_implication,
+}
 
 
 @dataclass
@@ -213,7 +213,8 @@ def _random_lift_case(rng: random.Random, pool):
     star = rng.randrange(size)
     exps[star] = 1
     n = rng.randint(2, 9)
-    return Factorization(tuple(zip(primes, exps))), star, n
+    # the pool is the sieve's, so the primes are not tested again
+    return Factorization._from_checked(zip(primes, exps)), star, n
 
 
 @shares_roots
@@ -295,17 +296,9 @@ def run_verify_suite(
                     checked += 1
                     if not check_gm_hm_step(ps, k):
                         violations.append(f"primes={ps.primes} k={k}")
-            elif suite == "bounds":
+            else:
                 checked += 1
-                if not check_bound_implication(ps):
-                    violations.append(f"primes={ps.primes}")
-            elif suite == "recip":
-                checked += 1
-                if not check_reciprocal_implication(ps):
-                    violations.append(f"primes={ps.primes}")
-            else:  # recip-refined
-                checked += 1
-                if not check_refined_reciprocal_implication(ps):
+                if not _PRIME_SET_CHECKS[suite](ps):
                     violations.append(f"primes={ps.primes}")
         params = {"trials": trials, "seed": seed, "prime_cap": PRIME_SET_CAP, "max_size": PRIME_SET_MAX_SIZE}
 

@@ -107,8 +107,6 @@ class Dyadic:
             (self.mant << (self.exp - e)) + (other.mant << (other.exp - e)), e
         )
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Dyadic":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -120,8 +118,6 @@ class Dyadic:
         if other is NotImplemented:
             return NotImplemented
         return Dyadic(self.mant * other.mant, self.exp + other.exp)
-
-    __rmul__ = __mul__
 
 
 ONE = Dyadic(1)

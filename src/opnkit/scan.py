@@ -70,13 +70,18 @@ class ScanReport:
 
 
 def sigma_segment(a: int, b: int) -> np.ndarray:
-    """Divisor sums sigma(n) for every n in [a, b] (a >= 1), as int64.
+    """Divisor sums sigma(n) for every n in [a, b], as int64.
+
+    Needs 1 <= a <= b <= PERFECT_HI_MAX (the perfect scans' ceiling, see
+    `scan_perfect`), checked before anything is allocated.
 
     No even n is sieved.  Each n is 2**k * m with m odd, and by Euler's
     identity sigma(n) = (2**(k+1) - 1) * sigma(m); so for each k with
     2**k <= b the odd m in [ceil(a / 2**k), b // 2**k] are sieved once, and
     their sums fill the n = 2**k * m, which lie 2**(k+1) apart.
     """
+    if not 1 <= a <= b <= PERFECT_HI_MAX:
+        raise ValueError(f"need 1 <= a <= b <= {PERFECT_HI_MAX}, got [{a}, {b}]")
     import numpy as np
 
     sig = np.empty(b - a + 1, dtype=np.int64)
@@ -174,9 +179,10 @@ def _radical_chain_hits(a: int, b: int) -> list[tuple[int, str]]:
     0.6483/lnln(m) (m >= 3), which grows with m from m = 16 on and is below
     5.62 at 10**9, applied to m = rad and m = n (below 16 the values are
     tiny); the index arithmetic stays below 3*b.  int64 would hold that far
-    past 10**9, so it no longer sets RADICAL_CHAIN_HI_MAX.  A violating n's
-    detail is rebuilt in Python ints: rad = n/e, sigma(rad)*n and
-    sigma(n)*rad, the cross-products the scan has always reported.
+    past 10**9: RADICAL_CHAIN_HI_MAX is the range the kernel is derived
+    and tested for, not an int64 limit.  A violating n's detail is rebuilt
+    in Python ints: rad = n/e and the cross-products sigma(rad)*n and
+    sigma(n)*rad.
     """
     import numpy as np
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, compress
 from math import comb, prod
@@ -65,6 +66,8 @@ def test_prime_set_validation():
         PrimeSet((3, 9))
     with pytest.raises(ValueError):
         PrimeSet((3, 3))
+    with pytest.raises(ValueError, match="empty prime set"):
+        PrimeSet(())
 
 
 def test_random_prime_set_deterministic():
@@ -323,6 +326,54 @@ def test_run_suite_passes(suite):
     result = run_verify_suite(suite, trials=50, seed=11)
     assert result.passed
     assert result.checked >= 50 or suite == "gmhm"
+
+
+SUITE_CHECKS = {
+    "lift": check_exponent_lift,
+    "chain": _chain_step_holds,
+    "gmhm": check_gm_hm_step,
+    "bounds": check_bound_implication,
+    "recip": check_reciprocal_implication,
+    "recip-refined": check_refined_reciprocal_implication,
+}
+
+
+def test_every_suite_reaches_its_own_check():
+    # record which check functions each suite's run calls, however it
+    # dispatches: each suite reaches its own check and no other one
+    codes = {fn.__code__: name for name, fn in SUITE_CHECKS.items()}
+    assert set(SUITE_CHECKS) == set(checks.SUITES)
+    for suite in checks.SUITES:
+        reached = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                reached.add(codes[frame.f_code])
+
+        sys.setprofile(profile)
+        try:
+            run_verify_suite(suite, trials=20, seed=5, limit=100)
+        finally:
+            sys.setprofile(None)
+        assert reached == {suite}, suite
+
+
+def test_lift_suite_makes_no_primality_test(monkeypatch):
+    # the lift cases draw their primes from the sieve, so none is tested again
+    import opnkit.arith
+    import opnkit.primes
+
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return True
+
+    for module in (opnkit.arith, opnkit.primes, checks):
+        monkeypatch.setattr(module, "is_prime", counting_is_prime)
+    result = run_verify_suite("lift", trials=200, seed=20100806)
+    assert result.passed and result.checked == 200
+    assert calls == []
 
 
 def test_run_suite_honours_precision_cap(monkeypatch):

@@ -268,6 +268,12 @@ def test_brent_and_nielsen_verdicts():
     v = by_id(audit(parse_factorization("3^1000")))
     assert v["brent_size"].verdict is Verdict.PASS
     assert v["nielsen_size"].verdict is Verdict.FAIL
+    # r = 11 and log2 N = 4**11 - 0.79: no log2 window separates N from
+    # 2**(4**11), and N has 5292610 bits, too many to materialize
+    text = "3^2646260*" + "*".join(f"{p}^2" for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    v = by_id(audit(parse_factorization(text)))
+    assert v["nielsen_size"].verdict is Verdict.UNDECIDED
+    assert v["nielsen_size"].detail == "N vs 2^(4^11) undecided at the log2 refinement cap"
 
 
 def test_theorem_bound_verdicts():

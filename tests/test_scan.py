@@ -250,6 +250,17 @@ def test_cli_jobs_default_is_the_cpu_count():
     assert args.jobs == scan.usable_cpus()
 
 
+@pytest.mark.parametrize("a, b", [(0, 10), (11, 10), (PERFECT_HI_MAX, PERFECT_HI_MAX + 1)])
+def test_sigma_segment_checks_its_window_before_allocating(monkeypatch, a, b):
+    def allocated(*args, **kwargs):
+        raise AssertionError("allocated before checking the window")
+
+    for name in ("empty", "zeros", "ones", "arange"):
+        monkeypatch.setattr(np, name, allocated)
+    with pytest.raises(ValueError, match="need 1 <= a <= b"):
+        sigma_segment(a, b)
+
+
 @st.composite
 def sieve_windows(draw):
     """[a, b] with 1 <= a <= b <= 2**22 and b - a < 4096, biased to the edges
