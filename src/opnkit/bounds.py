@@ -9,12 +9,13 @@ tightened until it excludes the rational, or a precision cap is hit.
 
 Within one call, 2**(1/r) - 1 is enclosed once per (r, working bits).  The
 outermost call of a function marked `shares_roots` (`decide`,
-`bounds_report`, `constraints.audit` and `checks.run_verify_suite`) opens
-a store of these enclosures, and drops it when it returns, so nothing is
-cached across calls.  Both bounds read the store, and a root refined to
-more bits continues Newton from the store's enclosure of it at the most
-bits below (see `nth_root_enclosure`), not from the float seed.  Outside
-such a call every enclosure is computed afresh.
+`bounds_report`, `constraints.audit`, `checks.check_bound_implication`
+and `checks.run_verify_suite`) opens a store of these enclosures, and
+drops it when it returns, so nothing is cached across calls.  Both bounds
+read the store, and a root refined to more bits continues Newton from the
+store's enclosure of it at the most bits below (see `nth_root_enclosure`),
+not from the float seed.  Outside such a call every enclosure is computed
+afresh.
 """
 
 from __future__ import annotations

@@ -125,12 +125,14 @@ def _radical_abundancy_below_one(primes) -> bool:
     return prod(p + 1 for p in primes) < 2 * prod(primes)
 
 
+@shares_roots
 def check_bound_implication(ps: PrimeSet) -> bool:
     """If the radical of the prime set has abundancy < 1 (exact test), its
     product and sum must clear the certified lower bounds for its size.
 
     Vacuously true when the premise fails; raises if an interval decision
-    hits the precision cap.
+    hits the precision cap.  Both comparisons read one enclosure of the
+    root of two.
     """
     primes = ps.primes
     if not _radical_abundancy_below_one(primes):

@@ -1,14 +1,27 @@
 """Primality testing and small-prime tables.
 
-Plain-integer utilities with no dependencies on the rest of the package:
-a primality test that is exact below 2**64 and the Baillie-PSW probable-
-prime test above, and a byte sieve of Eratosthenes.
+Plain-integer utilities with no dependencies on the rest of the package: a
+byte sieve of Eratosthenes, and a primality test that takes the cheapest
+exact method for the size of n, with the Baillie-PSW probable-prime test
+above 2**64:
+
+- n <= 2**16: a lookup in a byte table built once by the sieve;
+- n < 2**32: strong tests to bases 2, 7 and 61 (Jaeschke, Math. Comp. 61,
+  1993);
+- n < 2**64: strong tests to Sinclair's seven bases (verified against the
+  Feitsma-Galway strong-pseudoprime tables);
+- n >= 2**64: BPSW (Baillie & Wagstaff, Math. Comp. 35, 1980).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
+
+# Strong-test witnesses that decide primality for every n < 4,759,123,141,
+# so for every n < 2**32 (Jaeschke, Math. Comp. 61, 1993)
+_WITNESSES_U32 = (2, 7, 61)
 
 # Strong-test witnesses that decide primality for every n < 2**64
 # (Sinclair's seven-base set, verified against the Feitsma-Galway
@@ -17,19 +30,29 @@ _WITNESSES_U64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+_TABLE_LIMIT = 1 << 16  # is_prime looks up every n up to this in _TABLE
 
-@lru_cache(maxsize=32)
-def primes_up_to(limit: int) -> tuple[int, ...]:
-    """All primes <= limit, by a byte sieve of Eratosthenes."""
-    if limit < 2:
-        return ()
+
+def _sieve(limit: int) -> bytearray:
+    """A byte sieve of Eratosthenes for limit >= 1: entry i is 1 when i is prime."""
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             start = p * p
             sieve[start :: p] = bytearray(len(range(start, limit + 1, p)))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+    return sieve
+
+
+_TABLE = _sieve(_TABLE_LIMIT)
+
+
+@lru_cache(maxsize=32)
+def primes_up_to(limit: int) -> tuple[int, ...]:
+    """All primes <= limit, by a byte sieve of Eratosthenes."""
+    if limit < 2:
+        return ()
+    return tuple(compress(range(limit + 1), _sieve(limit)))
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -112,18 +135,22 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test, exact for all n < 2**64, BPSW probable prime above.
 
-    Below 2**64 seven strong-test bases decide it exactly.  At or above it
-    runs the Baillie-PSW test: a strong test to base 2, then a strong Lucas
-    test with Selfridge's parameters.  BPSW is not a proof, but no composite
-    is known to pass it, and unlike any set of fixed bases it cannot be
-    defeated by a composite built to pass them.
+    Each size of n takes the cheapest exact test: up to 2**16 a lookup in
+    the sieve's table; below 2**32 strong tests to bases 2, 7 and 61
+    (Jaeschke); below 2**64 strong tests to Sinclair's seven bases.  At or
+    above 2**64 it runs the Baillie-PSW test: a strong test to base 2, then
+    a strong Lucas test with Selfridge's parameters.  BPSW is not a proof,
+    but no composite is known to pass it, and unlike any set of fixed bases
+    it cannot be defeated by a composite built to pass them.
     """
-    if n < 2:
-        return False
+    if n <= _TABLE_LIMIT:
+        # n < 2 first: a negative index would read the table from its end
+        return n >= 2 and _TABLE[n] == 1
     for p in _SMALL_PRIMES:
         if n % p == 0:
-            return n == p
+            return False  # n is past the table, so it is not p itself
+    if n < 1 << 32:
+        return all(_strong_probable_prime(n, a) for a in _WITNESSES_U32)
     if n < 1 << 64:
         return all(_strong_probable_prime(n, a) for a in _WITNESSES_U64)
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
-

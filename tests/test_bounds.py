@@ -361,6 +361,20 @@ def test_bounds_suite_encloses_each_root_once(monkeypatch):
     assert bounds._roots is None
 
 
+def test_bound_implication_encloses_its_root_once(monkeypatch):
+    # called on its own, outside a suite or an audit, the product and the
+    # sum comparisons read one enclosure of 2**(1/3)
+    from opnkit.checks import PrimeSet, check_bound_implication
+
+    calls = spy_roots(monkeypatch)
+    assert check_bound_implication(PrimeSet((3, 5, 7)))
+    assert calls == [(3, 92)]
+    calls.clear()
+    assert check_bound_implication(PrimeSet((3, 5, 7)))
+    assert calls == [(3, 92)]  # the store was dropped: the second call encloses anew
+    assert bounds._roots is None
+
+
 def test_audit_encloses_one_root_per_level(monkeypatch):
     # starting at 1 bit, with no guard bits, both bound decisions climb
     # several levels; they share one enclosure of 2**(1/r) - 1 per level,

@@ -46,6 +46,18 @@ def test_spf_factorization_matches_sympy():
         assert factor_from_spf(n, spf) == sorted(sympy.factorint(n).items()), n
 
 
+def test_is_prime_matches_sympy_below_2_32():
+    # the table, then the three bases: random n of every size up to 2**32,
+    # the primes at both tier edges and odd n around them
+    rng = random.Random(32)
+    ns = [rng.getrandbits(bits) for bits in range(2, 33) for _ in range(150)]
+    for edge in (1 << 16, 1 << 32):
+        ns += [int(sympy.prevprime(edge)), int(sympy.nextprime(edge))]
+        ns += range(edge - 99, edge + 101, 2)
+    for n in ns:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_is_prime_matches_sympy_above_2_64():
     rng = random.Random(64)
     odd = [rng.getrandbits(bits) | 1 << (bits - 1) | 1 for bits in (rng.randrange(65, 2001) for _ in range(100))]
